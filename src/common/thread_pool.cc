@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include <pthread.h>
+
 #include "common/logging.h"
 
 namespace procrustes {
@@ -11,6 +13,9 @@ namespace {
 
 /** True while the current thread is executing a pool chunk. */
 thread_local bool t_inside_pool = false;
+
+/** Forks this process has gone through (bumped in each child). */
+std::atomic<uint64_t> g_fork_count{0};
 
 int
 resolveThreadCount(int requested)
@@ -31,39 +36,64 @@ resolveThreadCount(int requested)
 } // namespace
 
 ThreadPool::ThreadPool(int num_threads)
+    : shared_(std::make_unique<Shared>())
 {
+    static const int registered = pthread_atfork(nullptr, nullptr, [] {
+        g_fork_count.fetch_add(1, std::memory_order_relaxed);
+    });
+    PROCRUSTES_ASSERT(registered == 0, "pthread_atfork failed");
+    forkCount_ = g_fork_count.load(std::memory_order_relaxed);
+
     const int total = resolveThreadCount(num_threads);
-    workers_.reserve(static_cast<size_t>(total - 1));
+    shared_->workers.reserve(static_cast<size_t>(total - 1));
     for (int i = 0; i < total - 1; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
+        shared_->workers.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool()
 {
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        stop_ = true;
+    if (forkedAway()) {
+        // The workers live in the parent: leak their state rather than
+        // lock a mutex one of them may hold, or join threads this
+        // process does not have. The static chain keeps the state
+        // reachable, so leak checkers do not report it.
+        static Shared *orphans = nullptr;
+        shared_->nextOrphan = orphans;
+        orphans = shared_.release();
+        return;
     }
-    workCv_.notify_all();
-    for (std::thread &t : workers_)
+    {
+        std::lock_guard<std::mutex> lock(shared_->mu);
+        shared_->stop = true;
+    }
+    shared_->workCv.notify_all();
+    for (std::thread &t : shared_->workers)
         t.join();
+}
+
+bool
+ThreadPool::forkedAway() const
+{
+    return g_fork_count.load(std::memory_order_relaxed) != forkCount_;
 }
 
 void
 ThreadPool::workerLoop()
 {
+    Shared &sh = *shared_;
     uint64_t seen = 0;
     for (;;) {
         std::shared_ptr<Job> job;   // keeps the job alive past the wait
         {
-            std::unique_lock<std::mutex> lock(mu_);
-            workCv_.wait(lock, [&] {
-                return stop_ || (job_ != nullptr && generation_ != seen);
+            std::unique_lock<std::mutex> lock(sh.mu);
+            sh.workCv.wait(lock, [&] {
+                return sh.stop ||
+                       (sh.job != nullptr && sh.generation != seen);
             });
-            if (stop_)
+            if (sh.stop)
                 return;
-            seen = generation_;
-            job = job_;
+            seen = sh.generation;
+            job = sh.job;
         }
         runChunks(*job);
     }
@@ -83,8 +113,8 @@ ThreadPool::runChunks(Job &job)
         if (job.remaining.fetch_sub(e - b, std::memory_order_acq_rel) ==
             e - b) {
             // Last elements retired: wake the submitting thread.
-            std::lock_guard<std::mutex> lock(mu_);
-            doneCv_.notify_all();
+            std::lock_guard<std::mutex> lock(shared_->mu);
+            shared_->doneCv.notify_all();
         }
     }
     t_inside_pool = false;
@@ -99,9 +129,12 @@ ThreadPool::parallelFor(int64_t begin, int64_t end,
         return;
     const int64_t n = end - begin;
     grain = std::max<int64_t>(1, grain);
-    // Serial fast paths: tiny ranges, no workers, or a nested call from
-    // inside a chunk (the outer job's threads are all busy here).
-    if (workers_.empty() || n <= grain || t_inside_pool) {
+    Shared &sh = *shared_;
+    // Serial fast paths: tiny ranges, no workers, a nested call from
+    // inside a chunk (the outer job's threads are all busy here), or a
+    // forked child (the workers stayed in the parent).
+    if (sh.workers.empty() || n <= grain || t_inside_pool ||
+        forkedAway()) {
         body(begin, end);
         return;
     }
@@ -109,7 +142,7 @@ ThreadPool::parallelFor(int64_t begin, int64_t end,
     // One job at a time: a second submitter (another application
     // thread sharing this pool) degrades to inline serial execution
     // rather than aborting or deadlocking.
-    std::unique_lock<std::mutex> submit(submitMu_, std::try_to_lock);
+    std::unique_lock<std::mutex> submit(sh.submitMu, std::try_to_lock);
     if (!submit.owns_lock()) {
         body(begin, end);
         return;
@@ -131,21 +164,21 @@ ThreadPool::parallelFor(int64_t begin, int64_t end,
     job->remaining.store(n, std::memory_order_relaxed);
 
     {
-        std::lock_guard<std::mutex> lock(mu_);
-        PROCRUSTES_ASSERT(job_ == nullptr,
+        std::lock_guard<std::mutex> lock(sh.mu);
+        PROCRUSTES_ASSERT(sh.job == nullptr,
                           "concurrent parallelFor submissions");
-        job_ = job;
-        ++generation_;
+        sh.job = job;
+        ++sh.generation;
     }
-    workCv_.notify_all();
+    sh.workCv.notify_all();
 
     runChunks(*job);
 
-    std::unique_lock<std::mutex> lock(mu_);
-    doneCv_.wait(lock, [&] {
+    std::unique_lock<std::mutex> lock(sh.mu);
+    sh.doneCv.wait(lock, [&] {
         return job->remaining.load(std::memory_order_acquire) == 0;
     });
-    job_.reset();
+    sh.job.reset();
     // `body` may dangle once we return, but late-waking workers only see
     // an exhausted cursor through their own shared_ptr and never call it.
 }

@@ -11,6 +11,12 @@
  * chunk writes a disjoint output range and iterates in a fixed order,
  * results are bitwise deterministic regardless of how chunks land on
  * threads.
+ *
+ * The pool is fork-safe. A forked child inherits the pool object but
+ * none of its worker threads, and possibly a mutex some worker held at
+ * fork time. So in a child every parallelFor runs inline (serially) and
+ * destruction leaks the worker state instead of locking, signalling or
+ * joining it.
  */
 
 #ifndef PROCRUSTES_COMMON_THREAD_POOL_H_
@@ -48,7 +54,7 @@ class ThreadPool
     /** Total threads that execute chunks (workers + submitter). */
     int numThreads() const
     {
-        return static_cast<int>(workers_.size()) + 1;
+        return static_cast<int>(shared_->workers.size()) + 1;
     }
 
     /**
@@ -58,7 +64,8 @@ class ThreadPool
      * boundaries never split a tile and the decomposition is identical
      * for every thread count). A nested call from inside a pool task,
      * or a submission racing another thread's submission, runs inline
-     * (serially) instead of deadlocking or aborting.
+     * (serially) instead of deadlocking or aborting, and so does any
+     * call in a process forked after the pool was created.
      */
     void parallelFor(int64_t begin, int64_t end,
                      const std::function<void(int64_t, int64_t)> &body,
@@ -87,19 +94,35 @@ class ThreadPool
         std::atomic<int64_t> remaining{0};   //!< elements not yet done
     };
 
+    /**
+     * The worker threads and everything they synchronize on. Held by
+     * pointer so a forked child can leak it: the child has no threads
+     * behind `workers`, and destroying a condition variable that the
+     * parent's workers wait on blocks forever.
+     */
+    struct Shared
+    {
+        std::vector<std::thread> workers;
+        std::mutex submitMu;              //!< serializes submitters
+        std::mutex mu;
+        std::condition_variable workCv;   //!< wakes workers on a new job
+        std::condition_variable doneCv;   //!< wakes the submitter
+        std::shared_ptr<Job> job;         //!< current job, guarded by mu
+        uint64_t generation = 0;          //!< bumped per job, guarded by mu
+        bool stop = false;
+        Shared *nextOrphan = nullptr;     //!< see ~ThreadPool
+    };
+
     void workerLoop();
 
     /** Claim and run chunks until the job's cursor is exhausted. */
     void runChunks(Job &job);
 
-    std::vector<std::thread> workers_;
-    std::mutex submitMu_;              //!< serializes submitters
-    std::mutex mu_;
-    std::condition_variable workCv_;   //!< wakes workers on a new job
-    std::condition_variable doneCv_;   //!< wakes the submitter
-    std::shared_ptr<Job> job_;         //!< current job, guarded by mu_
-    uint64_t generation_ = 0;          //!< bumped per job, guarded by mu_
-    bool stop_ = false;
+    /** True in a process forked after this pool was created. */
+    bool forkedAway() const;
+
+    std::unique_ptr<Shared> shared_;
+    uint64_t forkCount_;   //!< process fork count at construction
 };
 
 } // namespace procrustes

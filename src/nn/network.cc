@@ -43,26 +43,6 @@ Network::zeroGrad()
         p->grad.zero();
 }
 
-int64_t
-Network::paramCount()
-{
-    int64_t n = 0;
-    for (Param *p : params())
-        n += p->value.numel();
-    return n;
-}
-
-int64_t
-Network::prunableParamCount()
-{
-    int64_t n = 0;
-    for (Param *p : params()) {
-        if (p->prunable)
-            n += p->value.numel();
-    }
-    return n;
-}
-
 void
 kaimingInit(Network &net, Xorshift128Plus &rng)
 {

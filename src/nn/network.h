@@ -47,12 +47,6 @@ class Network
     /** Zero every parameter gradient. */
     void zeroGrad();
 
-    /** Total number of trainable scalars. */
-    int64_t paramCount();
-
-    /** Number of scalars in prunable parameters only. */
-    int64_t prunableParamCount();
-
     /** Number of layers. */
     size_t size() const { return layers_.size(); }
 

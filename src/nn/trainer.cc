@@ -1,74 +1,160 @@
 #include "nn/trainer.h"
 
+#include <algorithm>
+#include <utility>
+
+#include "common/logging.h"
+
 namespace procrustes {
 namespace nn {
+
+SliceResult
+backprop(Network &net, SoftmaxCrossEntropy &loss, const Dataset &ds,
+         const std::vector<int64_t> &idx)
+{
+    const Tensor x = ds.batch(idx);
+    const auto y = ds.batchLabels(idx);
+    net.zeroGrad();
+    const Tensor logits = net.forward(x, /*training=*/true);
+    SliceResult r;
+    r.loss = loss.forward(logits, y);
+    r.accuracy = loss.accuracy();
+    r.samples = static_cast<int64_t>(idx.size());
+    net.backward(loss.backward());
+    return r;
+}
+
+std::vector<LayerStepReport>
+stepReports(Network &net)
+{
+    std::vector<LayerStepReport> reports;
+    for (size_t li = 0; li < net.size(); ++li) {
+        LayerStepReport r;
+        if (net.layer(li)->stepReport(&r))
+            reports.push_back(std::move(r));
+    }
+    return reports;
+}
+
+Trainer::Trainer(Network &net, Optimizer &opt, const Dataset &train,
+                 const Dataset &val, const TrainConfig &cfg)
+    : Trainer(net,
+              [&net, &opt, &train, params = net.params(),
+               loss = SoftmaxCrossEntropy()](
+                  const std::vector<int64_t> &idx,
+                  std::vector<LayerStepReport> *reports) mutable {
+                  const SliceResult r = backprop(net, loss, train, idx);
+                  opt.step(params);
+                  if (reports)
+                      *reports = stepReports(net);
+                  return std::vector<SliceResult>{r};
+              },
+              train, val, cfg)
+{
+}
+
+Trainer::Trainer(Network &net, StepHook hook, const Dataset &train,
+                 const Dataset &val, const TrainConfig &cfg)
+    : net_(net), train_(train), val_(val), cfg_(cfg),
+      hook_(std::move(hook))
+{
+    PROCRUSTES_ASSERT(cfg.batchSize > 0, "batch size must be positive");
+    PROCRUSTES_ASSERT(train.size() > 0, "empty training set");
+}
+
+void
+Trainer::setCursor(const TrainCursor &cursor)
+{
+    cursor_ = cursor;
+    orderEpoch_ = -1;
+}
+
+bool
+Trainer::step()
+{
+    PROCRUSTES_ASSERT(!finished(), "step() past the last epoch");
+    if (orderEpoch_ != cursor_.epoch) {
+        order_ = epochOrder(train_.size(), cfg_.shuffleSeed,
+                            cursor_.epoch);
+        orderEpoch_ = cursor_.epoch;
+    }
+    // The last batch of an epoch may be ragged (train.size() %
+    // batchSize != 0); it is trained and weighted by its size.
+    const int64_t start = cursor_.stepInEpoch * cfg_.batchSize;
+    PROCRUSTES_ASSERT(start < train_.size(),
+                      "training cursor past end of epoch");
+    const int64_t end = std::min(start + cfg_.batchSize, train_.size());
+    const int64_t n = end - start;
+    const std::vector<int64_t> idx(order_.begin() + start,
+                                   order_.begin() + end);
+
+    std::vector<LayerStepReport> reports;
+    const std::vector<SliceResult> slices =
+        hook_(idx, observer_ ? &reports : nullptr);
+
+    // Sample-weighted sums, so a ragged batch or slice counts in
+    // proportion to its size. Snapshots carry the open epoch's sums,
+    // and the compiler may fuse this multiply-add: rewriting the
+    // expression can change how an epoch resumed from an older build's
+    // snapshot rounds.
+    for (const SliceResult &s : slices) {
+        cursor_.lossSum += s.loss * static_cast<double>(s.samples);
+        cursor_.accSum += s.accuracy * static_cast<double>(s.samples);
+    }
+    last_.epoch = cursor_.epoch;
+    last_.step = cursor_.globalStep;
+    last_.batchSize = n;
+    last_.batchLoss = slices[0].loss;
+    if (slices.size() > 1) {
+        double sum = 0.0;
+        for (const SliceResult &s : slices)
+            sum += s.loss * static_cast<double>(s.samples);
+        last_.batchLoss = sum / static_cast<double>(n);
+    }
+    if (observer_) {
+        last_.reports = std::move(reports);
+        observer_(last_);
+        last_.reports.clear();
+    }
+
+    ++cursor_.globalStep;
+    ++cursor_.stepInEpoch;
+    cursor_.samples += n;
+    if (end < train_.size())
+        return false;
+    closeEpoch();
+    return true;
+}
+
+void
+Trainer::closeEpoch()
+{
+    // A step just ran, so the epoch holds at least one sample.
+    const double samples = static_cast<double>(cursor_.samples);
+    EpochStats st;
+    st.epoch = cursor_.epoch;
+    st.trainLoss = cursor_.lossSum / samples;
+    st.trainAccuracy = cursor_.accSum / samples;
+    st.valAccuracy = evaluateAccuracy(net_, val_);
+    st.weightSparsity = weightSparsity(net_);
+    history_.push_back(st);
+
+    TrainCursor next;
+    next.epoch = cursor_.epoch + 1;
+    next.globalStep = cursor_.globalStep;
+    cursor_ = next;
+}
 
 std::vector<EpochStats>
 trainNetwork(Network &net, Optimizer &opt, const Dataset &train,
              const Dataset &val, const TrainConfig &cfg,
              const StepObserver &observer)
 {
-    SoftmaxCrossEntropy loss;
-    std::vector<EpochStats> history;
-    const auto params = net.params();
-    int64_t global_step = 0;
-
-    for (int64_t epoch = 0; epoch < cfg.epochs; ++epoch) {
-        const auto order =
-            epochOrder(train.size(), cfg.shuffleSeed, epoch);
-        // Sample-weighted sums: the last batch of an epoch may be
-        // ragged (train.size() % batchSize != 0) and must count in
-        // proportion to its size, matching evaluateAccuracy.
-        double loss_sum = 0.0;
-        double acc_sum = 0.0;
-        int64_t samples = 0;
-
-        for (int64_t start = 0; start < train.size();
-             start += cfg.batchSize) {
-            const int64_t end =
-                std::min(start + cfg.batchSize, train.size());
-            const int64_t n = end - start;
-            std::vector<int64_t> idx(order.begin() + start,
-                                     order.begin() + end);
-            const Tensor x = train.batch(idx);
-            const auto y = train.batchLabels(idx);
-
-            net.zeroGrad();
-            const Tensor logits = net.forward(x, /*training=*/true);
-            const double batch_loss = loss.forward(logits, y);
-            loss_sum += batch_loss * static_cast<double>(n);
-            acc_sum += loss.accuracy() * static_cast<double>(n);
-            net.backward(loss.backward());
-            opt.step(params);
-
-            if (observer) {
-                StepTelemetry t;
-                t.epoch = epoch;
-                t.step = global_step;
-                t.batchSize = n;
-                t.batchLoss = batch_loss;
-                for (size_t li = 0; li < net.size(); ++li) {
-                    LayerStepReport r;
-                    if (net.layer(li)->stepReport(&r))
-                        t.reports.push_back(std::move(r));
-                }
-                observer(t);
-            }
-            ++global_step;
-            samples += n;
-        }
-
-        EpochStats st;
-        st.epoch = epoch;
-        st.trainLoss =
-            samples ? loss_sum / static_cast<double>(samples) : 0.0;
-        st.trainAccuracy =
-            samples ? acc_sum / static_cast<double>(samples) : 0.0;
-        st.valAccuracy = evaluateAccuracy(net, val);
-        st.weightSparsity = weightSparsity(net);
-        history.push_back(st);
-    }
-    return history;
+    Trainer trainer(net, opt, train, val, cfg);
+    trainer.setObserver(observer);
+    while (!trainer.finished())
+        trainer.step();
+    return trainer.history();
 }
 
 double

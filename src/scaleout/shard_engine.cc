@@ -35,11 +35,7 @@ assertReplicasIdentical(
             const Tensor &b = reps[m]->params[pi]->value;
             PROCRUSTES_ASSERT(a.numel() == b.numel(),
                               "replica parameter shape mismatch");
-            const float *av = a.data();
-            const float *bv = b.data();
-            const bool same =
-                std::equal(av, av + a.numel(), bv);
-            if (!same)
+            if (!std::equal(a.data(), a.data() + a.numel(), b.data()))
                 PANIC(std::string("shard replicas diverged (") + when +
                       "): the builder/optimizer factory is not "
                       "deterministic or a layer carries unexchanged "
@@ -64,14 +60,14 @@ weightedAccum(std::vector<double> *acc, const std::vector<double> &v,
  * sum, scalar/per-slot densities average sample-weighted, per-sample
  * vectors concatenate in slice order (slices are contiguous in the
  * global batch), sparseExecuted ANDs. The base keeps its own mask and
- * weight-byte fields — they were sampled after the optimizer step,
- * matching nn::trainNetwork's convention.
+ * weight-byte fields: they were sampled after the optimizer step, as
+ * every step's reports are.
  */
 void
 mergeSliceReports(
     std::vector<nn::LayerStepReport> *reports,
     const std::vector<std::vector<nn::LayerStepReport>> &slice_reports,
-    const std::vector<int64_t> &slice_n, int64_t batch)
+    const std::vector<nn::SliceResult> &slices, int64_t batch)
 {
     for (size_t ri = 0; ri < reports->size(); ++ri) {
         nn::LayerStepReport &out = (*reports)[ri];
@@ -91,7 +87,7 @@ mergeSliceReports(
             const nn::LayerStepReport &r = slice_reports[s][ri];
             PROCRUSTES_ASSERT(r.layerName == out.layerName,
                               "report order changed across slices");
-            const double w = static_cast<double>(slice_n[s]) /
+            const double w = static_cast<double>(slices[s].samples) /
                              static_cast<double>(batch);
             out.fwMacs += r.fwMacs;
             out.bwDataMacs += r.bwDataMacs;
@@ -147,6 +143,133 @@ annotateExchange(std::vector<nn::LayerStepReport> *reports,
     }
 }
 
+/**
+ * The sharded step: the one place it differs from the plain step.
+ * Slices the batch over the replicas, exchanges the mask-live
+ * gradients, steps every replica and, when asked, merges and
+ * annotates the slice reports. Adds the step's wire traffic to `ex`.
+ */
+std::vector<nn::SliceResult>
+shardStep(const std::vector<std::unique_ptr<Replica>> &reps,
+          const nn::Dataset &train, int64_t slice_samples,
+          const std::vector<int64_t> &idx,
+          std::vector<nn::LayerStepReport> *reports,
+          ShardExchangeStats *ex)
+{
+    const int M = static_cast<int>(reps.size());
+    const size_t np = reps[0]->params.size();
+    const int64_t n = static_cast<int64_t>(idx.size());
+    const int64_t slices = (n + slice_samples - 1) / slice_samples;
+
+    // Pre-step live masks, identical on every replica. The live
+    // pattern covers every position the CSB executors can write a
+    // non-zero gradient to; non-prunable parameters (zero-init biases,
+    // batch-norm affine) go dense — a value-derived mask would drop
+    // their legitimate zero entries.
+    std::vector<std::vector<uint8_t>> live(np);
+    std::vector<int64_t> nnz(np);
+    for (size_t pi = 0; pi < np; ++pi) {
+        const nn::Param *p = reps[0]->params[pi];
+        if (p->prunable) {
+            live[pi] = sparse::liveMaskFromValues(p->value);
+        } else {
+            live[pi].assign(static_cast<size_t>(p->value.numel()), 1);
+        }
+        nnz[pi] = sparse::liveCount(live[pi]);
+    }
+
+    // partials[pi][s]: slice s's packed mask-live gradient of parameter
+    // pi. Slots are disjoint per slice, so shard workers fill them
+    // without synchronization and the result is independent of
+    // scheduling.
+    std::vector<std::vector<std::vector<float>>> partials(np);
+    for (size_t pi = 0; pi < np; ++pi)
+        partials[pi].resize(static_cast<size_t>(slices));
+    std::vector<nn::SliceResult> results(static_cast<size_t>(slices));
+    std::vector<std::vector<nn::LayerStepReport>> slice_reports(
+        reports ? static_cast<size_t>(slices) : 0);
+
+    // Shard m owns slices {s : s % M == m} and runs them in ascending
+    // order on its own replica. Replicas are bitwise identical, so a
+    // slice's forward/backward result does not depend on the owner —
+    // only the slice geometry (fixed by sliceSamples) pins the FP
+    // reduction.
+    auto run_shard = [&](int m) {
+        Replica &rep = *reps[static_cast<size_t>(m)];
+        for (int64_t s = m; s < slices; s += M) {
+            const int64_t s0 = s * slice_samples;
+            const int64_t s1 = std::min(s0 + slice_samples, n);
+            const std::vector<int64_t> slice(idx.begin() + s0,
+                                             idx.begin() + s1);
+            const size_t su = static_cast<size_t>(s);
+            results[su] = nn::backprop(rep.net, rep.loss, train, slice);
+            for (size_t pi = 0; pi < np; ++pi) {
+                std::vector<float> &pk = partials[pi][su];
+                pk.resize(static_cast<size_t>(nnz[pi]));
+                // Const ref: COW data() must not detach while other
+                // shards run.
+                const Tensor &g = rep.params[pi]->grad;
+                sparse::gatherLive(g.data(), live[pi], pk.data());
+            }
+            if (reports)
+                slice_reports[su] = nn::stepReports(rep.net);
+        }
+    };
+    if (M == 1) {
+        // Stay off the pool so nested kernels keep their normal
+        // parallelism.
+        run_shard(0);
+    } else {
+        ThreadPool::global().parallelFor(
+            0, M,
+            [&](int64_t b, int64_t e) {
+                for (int64_t m = b; m < e; ++m)
+                    run_shard(static_cast<int>(m));
+            },
+            /*grain=*/1);
+    }
+
+    // Global-mean weighting: the per-slice loss gradient is a slice
+    // mean (1/n_s), so scale by n_s/n before the fold.
+    std::vector<float> weights(static_cast<size_t>(slices));
+    for (size_t s = 0; s < weights.size(); ++s)
+        weights[s] = static_cast<float>(results[s].samples) /
+                     static_cast<float>(n);
+
+    // Reduce-to-root + broadcast traffic: the root (shard 0) already
+    // holds its own slices, and with M == 1 nothing crosses the wire.
+    const int64_t root_slices = (slices + M - 1) / M;
+    const int64_t gather_msgs = slices - root_slices;
+    const int64_t bcast_msgs = M - 1;
+
+    std::vector<sparse::ExchangeVolume> vols(np);
+    for (size_t pi = 0; pi < np; ++pi) {
+        const std::vector<float> reduced =
+            sparse::sparseAllreduceGrads(partials[pi], weights);
+        for (const auto &rep : reps)
+            sparse::scatterLive(reduced.data(), live[pi],
+                                rep->params[pi]->grad.data());
+        vols[pi] = sparse::allreduceVolume(
+            nnz[pi], reps[0]->params[pi]->value.numel(), gather_msgs,
+            bcast_msgs);
+        ex->compressedBytes += vols[pi].compressedBytes;
+        ex->denseBytes += vols[pi].denseBytes;
+        ex->messages += vols[pi].messages;
+    }
+
+    // Every replica applies the identical reduced gradient, so
+    // replicas remain bitwise identical after the step.
+    for (const auto &rep : reps)
+        rep->opt->step(rep->params);
+
+    if (reports) {
+        *reports = nn::stepReports(reps[0]->net);
+        mergeSliceReports(reports, slice_reports, results, n);
+        annotateExchange(reports, reps[0]->params, vols);
+    }
+    return results;
+}
+
 } // namespace
 
 ShardTrainResult
@@ -156,235 +279,42 @@ trainSharded(const NetworkBuilder &build,
              const nn::StepObserver &observer)
 {
     PROCRUSTES_ASSERT(cfg.shards >= 1, "need at least one shard");
-    PROCRUSTES_ASSERT(cfg.batchSize >= 1,
-                      "batch size must be positive");
     PROCRUSTES_ASSERT(cfg.sliceSamples >= 1,
                       "slice size must be positive");
-    PROCRUSTES_ASSERT(train.size() > 0, "empty training set");
 
-    const int M = cfg.shards;
     std::vector<std::unique_ptr<Replica>> reps;
-    reps.reserve(static_cast<size_t>(M));
-    for (int m = 0; m < M; ++m) {
+    reps.reserve(static_cast<size_t>(cfg.shards));
+    for (int m = 0; m < cfg.shards; ++m) {
         auto r = std::make_unique<Replica>();
         build(r->net);
         r->opt = make_opt();
         r->params = r->net.params();
         reps.push_back(std::move(r));
     }
-    const size_t np = reps[0]->params.size();
     assertReplicasIdentical(reps, "after build");
 
+    ShardExchangeStats exchange;   // of the open epoch
+    nn::Trainer trainer(
+        reps[0]->net,
+        [&](const std::vector<int64_t> &idx,
+            std::vector<nn::LayerStepReport> *reports) {
+            return shardStep(reps, train, cfg.sliceSamples, idx, reports,
+                             &exchange);
+        },
+        train, val, cfg);
+    trainer.setObserver(observer);
+
     ShardTrainResult result;
-    int64_t global_step = 0;
-
-    for (int64_t epoch = 0; epoch < cfg.epochs; ++epoch) {
-        const auto order =
-            nn::epochOrder(train.size(), cfg.shuffleSeed, epoch);
-        double loss_sum = 0.0;
-        double acc_sum = 0.0;
-        int64_t samples = 0;
-        ShardExchangeStats ex_epoch;
-
-        for (int64_t start = 0; start < train.size();
-             start += cfg.batchSize) {
-            const int64_t end =
-                std::min(start + cfg.batchSize, train.size());
-            const int64_t n = end - start;
-            const int64_t slices =
-                (n + cfg.sliceSamples - 1) / cfg.sliceSamples;
-
-            // Pre-step live masks, identical on every replica. The
-            // live pattern covers every position the CSB executors
-            // can write a non-zero gradient to; non-prunable
-            // parameters (zero-init biases, batch-norm affine) go
-            // dense — a value-derived mask would drop their
-            // legitimate zero entries.
-            std::vector<std::vector<uint8_t>> live(np);
-            std::vector<int64_t> nnz(np);
-            for (size_t pi = 0; pi < np; ++pi) {
-                const nn::Param *p = reps[0]->params[pi];
-                if (p->prunable) {
-                    live[pi] = sparse::liveMaskFromValues(p->value);
-                } else {
-                    live[pi].assign(
-                        static_cast<size_t>(p->value.numel()), 1);
-                }
-                nnz[pi] = sparse::liveCount(live[pi]);
-            }
-
-            // partials[pi][s]: slice s's packed mask-live gradient of
-            // parameter pi. Slots are disjoint per slice, so shard
-            // workers fill them without synchronization and the
-            // result is independent of scheduling.
-            std::vector<std::vector<std::vector<float>>> partials(np);
-            for (size_t pi = 0; pi < np; ++pi)
-                partials[pi].resize(static_cast<size_t>(slices));
-            std::vector<double> slice_loss(
-                static_cast<size_t>(slices), 0.0);
-            std::vector<double> slice_acc(
-                static_cast<size_t>(slices), 0.0);
-            std::vector<int64_t> slice_n(
-                static_cast<size_t>(slices), 0);
-            std::vector<std::vector<nn::LayerStepReport>>
-                slice_reports(observer ? static_cast<size_t>(slices)
-                                       : 0);
-
-            // Shard m owns slices {s : s % M == m} and runs them in
-            // ascending order on its own replica. Replicas are
-            // bitwise identical, so a slice's forward/backward result
-            // does not depend on the owner — only the slice geometry
-            // (fixed by sliceSamples) pins the FP reduction.
-            auto run_shard = [&](int m) {
-                Replica &rep = *reps[static_cast<size_t>(m)];
-                for (int64_t s = m; s < slices; s += M) {
-                    const int64_t s0 = start + s * cfg.sliceSamples;
-                    const int64_t s1 =
-                        std::min(s0 + cfg.sliceSamples, end);
-                    std::vector<int64_t> idx(order.begin() + s0,
-                                             order.begin() + s1);
-                    const Tensor x = train.batch(idx);
-                    const auto y = train.batchLabels(idx);
-                    rep.net.zeroGrad();
-                    const Tensor logits =
-                        rep.net.forward(x, /*training=*/true);
-                    const size_t su = static_cast<size_t>(s);
-                    slice_loss[su] = rep.loss.forward(logits, y);
-                    slice_acc[su] = rep.loss.accuracy();
-                    slice_n[su] = s1 - s0;
-                    rep.net.backward(rep.loss.backward());
-                    for (size_t pi = 0; pi < np; ++pi) {
-                        std::vector<float> &pk = partials[pi][su];
-                        pk.resize(static_cast<size_t>(nnz[pi]));
-                        // Const ref: COW data() must not detach while
-                        // other shards run.
-                        const Tensor &g = rep.params[pi]->grad;
-                        sparse::gatherLive(g.data(), live[pi],
-                                           pk.data());
-                    }
-                    if (observer) {
-                        auto &out = slice_reports[su];
-                        for (size_t li = 0; li < rep.net.size();
-                             ++li) {
-                            nn::LayerStepReport r;
-                            if (rep.net.layer(li)->stepReport(&r))
-                                out.push_back(std::move(r));
-                        }
-                    }
-                }
-            };
-            if (M == 1) {
-                // Stay off the pool so nested kernels keep their
-                // normal parallelism.
-                run_shard(0);
-            } else {
-                ThreadPool::global().parallelFor(
-                    0, M,
-                    [&](int64_t b, int64_t e) {
-                        for (int64_t m = b; m < e; ++m)
-                            run_shard(static_cast<int>(m));
-                    },
-                    /*grain=*/1);
-            }
-
-            // Global-mean weighting: the per-slice loss gradient is a
-            // slice mean (1/n_s), so scale by n_s/n before the fold.
-            std::vector<float> weights(static_cast<size_t>(slices));
-            for (int64_t s = 0; s < slices; ++s)
-                weights[static_cast<size_t>(s)] =
-                    static_cast<float>(slice_n[static_cast<size_t>(s)]) /
-                    static_cast<float>(n);
-
-            // Reduce-to-root + broadcast traffic: the root (shard 0)
-            // already holds its own slices, and with M == 1 nothing
-            // crosses the wire at all.
-            const int64_t root_slices = (slices + M - 1) / M;
-            const int64_t gather_msgs = slices - root_slices;
-            const int64_t bcast_msgs = M - 1;
-
-            std::vector<sparse::ExchangeVolume> vols(np);
-            for (size_t pi = 0; pi < np; ++pi) {
-                const std::vector<float> reduced =
-                    sparse::sparseAllreduceGrads(partials[pi],
-                                                 weights);
-                for (int m = 0; m < M; ++m) {
-                    nn::Param *p =
-                        reps[static_cast<size_t>(m)]->params[pi];
-                    sparse::scatterLive(reduced.data(), live[pi],
-                                        p->grad.data());
-                }
-                vols[pi] = sparse::allreduceVolume(
-                    nnz[pi], reps[0]->params[pi]->value.numel(),
-                    gather_msgs, bcast_msgs);
-                ex_epoch.compressedBytes += vols[pi].compressedBytes;
-                ex_epoch.denseBytes += vols[pi].denseBytes;
-                ex_epoch.messages += vols[pi].messages;
-            }
-
-            // Every replica applies the identical reduced gradient,
-            // so replicas remain bitwise identical after the step.
-            for (int m = 0; m < M; ++m)
-                reps[static_cast<size_t>(m)]->opt->step(
-                    reps[static_cast<size_t>(m)]->params);
-
-            // Same expression shape as trainNetwork's accumulation so
-            // the compiler contracts (or not) identically and the
-            // one-shard single-slice trajectory stays bitwise equal to
-            // the plain trainer's.
-            for (int64_t s = 0; s < slices; ++s) {
-                const size_t su = static_cast<size_t>(s);
-                loss_sum += slice_loss[su] *
-                            static_cast<double>(slice_n[su]);
-                acc_sum += slice_acc[su] *
-                           static_cast<double>(slice_n[su]);
-            }
-            samples += n;
-
-            if (observer) {
-                nn::StepTelemetry t;
-                t.epoch = epoch;
-                t.step = global_step;
-                t.batchSize = n;
-                double batch_loss = 0.0;
-                for (int64_t s = 0; s < slices; ++s) {
-                    const size_t su = static_cast<size_t>(s);
-                    batch_loss += slice_loss[su] *
-                                  static_cast<double>(slice_n[su]);
-                }
-                t.batchLoss =
-                    slices == 1 ? slice_loss[0]
-                                : batch_loss / static_cast<double>(n);
-                for (size_t li = 0; li < reps[0]->net.size(); ++li) {
-                    nn::LayerStepReport r;
-                    if (reps[0]->net.layer(li)->stepReport(&r))
-                        t.reports.push_back(std::move(r));
-                }
-                mergeSliceReports(&t.reports, slice_reports, slice_n,
-                                  n);
-                annotateExchange(&t.reports, reps[0]->params, vols);
-                observer(t);
-            }
-            ++global_step;
-        }
-
+    while (!trainer.finished()) {
+        if (!trainer.step())
+            continue;
         assertReplicasIdentical(reps, "after epoch");
-
-        ShardEpochStats es;
-        es.stats.epoch = epoch;
-        es.stats.trainLoss =
-            samples ? loss_sum / static_cast<double>(samples) : 0.0;
-        es.stats.trainAccuracy =
-            samples ? acc_sum / static_cast<double>(samples) : 0.0;
-        es.stats.valAccuracy =
-            nn::evaluateAccuracy(reps[0]->net, val);
-        es.stats.weightSparsity = nn::weightSparsity(reps[0]->net);
-        es.exchange = ex_epoch;
-        result.history.push_back(es);
+        result.history.push_back({trainer.history().back(), exchange});
+        exchange = {};
     }
 
-    result.finalWeights.reserve(np);
-    for (size_t pi = 0; pi < np; ++pi)
-        result.finalWeights.push_back(reps[0]->params[pi]->value);
+    for (const nn::Param *p : reps[0]->params)
+        result.finalWeights.push_back(p->value);
     return result;
 }
 

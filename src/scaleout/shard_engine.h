@@ -14,6 +14,12 @@
  * reduced gradient into every replica, and every replica's optimizer
  * steps — so replicas stay bitwise identical forever.
  *
+ * That sharded step is the engine's only code of its own: it is the
+ * hook of the shared training step (nn::Trainer), which cuts the
+ * batches, accumulates the epoch statistics, builds the telemetry and
+ * validates. A one-shard, one-slice run is therefore the plain
+ * trainer's step with an identity exchange.
+ *
  * Determinism contract. The grad-slice size (ShardTrainConfig::
  * sliceSamples) — NOT the shard count — fixes the floating-point
  * reduction granularity: a slice's contribution is computed on a
@@ -46,8 +52,6 @@
 #define PROCRUSTES_SCALEOUT_SHARD_ENGINE_H_
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "nn/trainer.h"
@@ -56,16 +60,17 @@
 namespace procrustes {
 namespace scaleout {
 
-/** Scale-out training configuration. */
-struct ShardTrainConfig
+using nn::NetworkBuilder;
+using nn::OptimizerFactory;
+
+/**
+ * Scale-out training configuration: the loop's (batchSize is the
+ * global, optimizer-visible batch) plus the replica geometry.
+ */
+struct ShardTrainConfig : nn::TrainConfig
 {
     /** Shard (replica) count M. */
     int shards = 1;
-
-    int64_t epochs = 10;
-
-    /** Global batch size — the optimizer-visible batch. */
-    int64_t batchSize = 16;
 
     /**
      * Grad-slice size: the fixed gradient-accumulation granularity.
@@ -76,15 +81,7 @@ struct ShardTrainConfig
      * one-shard run bitwise identical to nn::trainNetwork.
      */
     int64_t sliceSamples = 4;
-
-    uint64_t shuffleSeed = 7;
 };
-
-/** Builds one shard's network replica (must be deterministic). */
-using NetworkBuilder = std::function<void(nn::Network &)>;
-
-/** Creates one shard's optimizer (must be deterministic). */
-using OptimizerFactory = std::function<std::unique_ptr<nn::Optimizer>()>;
 
 /** Measured exchange wire traffic, summed over one epoch's steps. */
 struct ShardExchangeStats

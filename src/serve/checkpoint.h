@@ -14,7 +14,7 @@
  *  - optimizer state (step counter, momentum velocity, pruning masks
  *    and schedule counters, via Optimizer::serializeState),
  *  - the training cursor: (epoch, step-in-epoch) — sufficient to
- *    resume mid-stream because epochOrder() is a pure function of
+ *    resume mid-stream because epochOrder is a pure function of
  *    (size, seed, epoch) — plus the running epoch accumulators so a
  *    mid-epoch resume reproduces the epoch's EpochStats exactly.
  *
@@ -29,11 +29,11 @@
 #define PROCRUSTES_SERVE_CHECKPOINT_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "nn/network.h"
 #include "nn/sgd.h"
+#include "nn/trainer.h"
 
 namespace procrustes {
 namespace serve {
@@ -44,24 +44,8 @@ constexpr uint32_t kCheckpointMagic = 0x50434b50u;
 /** Bump on any layout change; restore rejects other versions. */
 constexpr uint32_t kCheckpointVersion = 1;
 
-/**
- * Where a training run is in its sample stream, plus the running
- * accumulators of the open epoch. `stepInEpoch` counts completed
- * optimizer steps within `epoch`; the next batch starts at sample
- * offset stepInEpoch * batchSize of epochOrder(n, seed, epoch).
- */
-struct TrainCursor
-{
-    int64_t epoch = 0;
-    int64_t stepInEpoch = 0;
-    int64_t globalStep = 0;
-    /** @name Open-epoch accumulators (trainer.cc expression state). */
-    /**@{*/
-    double lossSum = 0.0;
-    double accSum = 0.0;
-    int64_t samples = 0;
-    /**@}*/
-};
+/** The cursor lives with the training step; snapshots carry it. */
+using nn::TrainCursor;
 
 /**
  * Serialize the full training state of (net, opt) at `cursor` into a
@@ -81,13 +65,6 @@ std::vector<uint8_t> snapshotTrainingState(nn::Network &net,
  */
 TrainCursor restoreTrainingState(const std::vector<uint8_t> &blob,
                                  nn::Network &net, nn::Optimizer &opt);
-
-/** Write a snapshot to a file; FATALs if the file cannot be written. */
-void saveCheckpointFile(const std::string &path,
-                        const std::vector<uint8_t> &blob);
-
-/** Read a snapshot back; FATALs if the file cannot be read. */
-std::vector<uint8_t> loadCheckpointFile(const std::string &path);
 
 } // namespace serve
 } // namespace procrustes

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -158,40 +159,28 @@ tinySpirals(uint64_t seed)
 }
 
 /**
- * Run `steps` optimizer steps, mirroring the trainNetwork expression
- * sequence from a given cursor position (whole-epoch shuffles, batch
- * 8), and return the per-step losses.
+ * Run `steps` optimizer steps of the shared training step (whole-epoch
+ * shuffles with seed 7, batch 8) from the cursor position
+ * (start_epoch, start_step_in_epoch), and return the per-step losses.
  */
 std::vector<double>
 runSteps(Network &net, nn::Optimizer &opt, const Dataset &ds,
          int64_t steps, int64_t start_epoch = 0,
          int64_t start_step_in_epoch = 0)
 {
-    nn::SoftmaxCrossEntropy loss;
-    const auto params = net.params();
-    const int64_t batch = 8;
+    nn::TrainConfig cfg;
+    cfg.epochs = INT64_MAX;
+    cfg.batchSize = 8;
+    cfg.shuffleSeed = 7;
+    nn::Trainer trainer(net, opt, ds, ds, cfg);
+    TrainCursor cursor;
+    cursor.epoch = start_epoch;
+    cursor.stepInEpoch = start_step_in_epoch;
+    trainer.setCursor(cursor);
     std::vector<double> losses;
-    int64_t epoch = start_epoch;
-    int64_t step_in_epoch = start_step_in_epoch;
     for (int64_t s = 0; s < steps; ++s) {
-        const auto order = nn::epochOrder(ds.size(), 7, epoch);
-        const int64_t start = step_in_epoch * batch;
-        const int64_t end = std::min(start + batch, ds.size());
-        std::vector<int64_t> idx(order.begin() + start,
-                                 order.begin() + end);
-        const Tensor x = ds.batch(idx);
-        const auto y = ds.batchLabels(idx);
-        net.zeroGrad();
-        const Tensor logits = net.forward(x, /*training=*/true);
-        losses.push_back(loss.forward(logits, y));
-        net.backward(loss.backward());
-        opt.step(params);
-        if (end >= ds.size()) {
-            ++epoch;
-            step_in_epoch = 0;
-        } else {
-            ++step_in_epoch;
-        }
+        trainer.step();
+        losses.push_back(trainer.lastStep().batchLoss);
     }
     return losses;
 }

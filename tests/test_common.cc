@@ -1,17 +1,27 @@
 /**
  * @file
- * Unit tests for the common substrate: logging, PRNGs, math helpers.
+ * Unit tests for the common substrate: logging, PRNGs, math helpers,
+ * and the thread pool's behaviour in a forked child.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <atomic>
 #include <cmath>
+#include <csignal>
+#include <memory>
 #include <set>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/math_utils.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 
 namespace procrustes {
 namespace {
@@ -167,6 +177,80 @@ TEST(StatelessGaussianSum3, BoundedSupport)
         EXPECT_GT(s, -bound);
         EXPECT_LT(s, bound);
     }
+}
+
+TEST(ThreadPoolFork, ChildRunsInlineAndTearsDownWithoutParentWorkers)
+{
+    // Death tests fork while pool workers are alive. Before the fix
+    // the child inherited the pool's mutexes (possibly held by a
+    // worker at fork time) and its thread handles with no threads
+    // behind them: parallelFor could block on a mutex nobody would
+    // release, and the destructor crashed in join() or blocked
+    // destroying a condition variable the parent's workers wait on.
+    // Each child arms an alarm, so a hang fails in seconds.
+    auto pool = std::make_unique<ThreadPool>(4);
+    std::atomic<bool> stop{false};
+    // Keep the workers waking and the pool mutex busy across forks.
+    std::thread hammer([&] {
+        std::vector<int64_t> out(256);
+        while (!stop.load()) {
+            pool->parallelFor(
+                0, 256,
+                [&](int64_t b, int64_t e) {
+                    for (int64_t i = b; i < e; ++i)
+                        out[static_cast<size_t>(i)] = i;
+                },
+                1);
+        }
+    });
+
+    constexpr int kForks = 20;
+    constexpr int64_t kN = 4096;
+    // The first failed fork, reported once the hammer is joined.
+    std::string failure;
+    for (int f = 0; f < kForks && failure.empty(); ++f) {
+        const pid_t pid = fork();
+        if (pid == 0) {
+            alarm(10);
+            std::vector<int64_t> v(kN, 0);
+            pool->parallelFor(
+                0, kN,
+                [&](int64_t b, int64_t e) {
+                    for (int64_t i = b; i < e; ++i)
+                        v[static_cast<size_t>(i)] = 2 * i;
+                },
+                1);
+            bool ok = true;
+            for (int64_t i = 0; i < kN; ++i)
+                ok = ok && v[static_cast<size_t>(i)] == 2 * i;
+            pool.reset();
+            _exit(ok ? 0 : 1);
+        }
+        int status = 0;
+        const std::string at = "fork " + std::to_string(f) + ": ";
+        if (pid == -1 || waitpid(pid, &status, 0) != pid)
+            failure = at + "fork/waitpid failed";
+        else if (WIFSIGNALED(status))
+            failure = at + "child killed by signal " +
+                      std::to_string(WTERMSIG(status)) +
+                      (WTERMSIG(status) == SIGALRM ? " (hung)" : "");
+        else if (WEXITSTATUS(status) != 0)
+            failure = at + "child computed a wrong result";
+    }
+    stop.store(true);
+    hammer.join();
+    EXPECT_EQ(failure, "");
+
+    // The parent's pool is untouched by its children.
+    std::vector<int64_t> v(kN, 0);
+    pool->parallelFor(
+        0, kN,
+        [&](int64_t b, int64_t e) {
+            for (int64_t i = b; i < e; ++i)
+                v[static_cast<size_t>(i)] = i;
+        },
+        1);
+    EXPECT_EQ(v[kN - 1], kN - 1);
 }
 
 } // namespace

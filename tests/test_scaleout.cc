@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -260,6 +261,104 @@ TEST(Scaleout, SingleShardOneSlicePerBatchMatchesPlainTrainer)
         EXPECT_EQ(sharded.history[e].exchange.compressedBytes, 0);
         EXPECT_EQ(sharded.history[e].exchange.messages, 0);
     }
+}
+
+TEST(Scaleout, SingleShardOneSlicePerBatchTelemetryMatchesPlainTrainer)
+{
+    // The twin above compares weights and history; this one compares
+    // every step's telemetry, field by field. Only the exchange fields
+    // may differ: the engine annotates them, the plain trainer has no
+    // exchange.
+    const auto splits = shardSpirals();
+
+    std::vector<nn::StepTelemetry> ref_steps;
+    {
+        Network ref;
+        buildShardMlp(ref, 11);
+        sparse::GradualMagnitudePruningOptimizer ref_opt(shardPruning());
+        nn::TrainConfig tc;
+        tc.epochs = 3;
+        tc.batchSize = 16;
+        nn::trainNetwork(ref, ref_opt, splits.first, splits.second, tc,
+                         [&](const nn::StepTelemetry &t) {
+                             ref_steps.push_back(t);
+                         });
+    }
+
+    std::vector<nn::StepTelemetry> shard_steps;
+    ShardTrainConfig cfg;
+    cfg.shards = 1;
+    cfg.epochs = 3;
+    cfg.batchSize = 16;
+    cfg.sliceSamples = 16;
+    scaleout::trainSharded(
+        [](Network &net) { buildShardMlp(net, 11); },
+        [] {
+            return std::make_unique<
+                sparse::GradualMagnitudePruningOptimizer>(
+                shardPruning());
+        },
+        splits.first, splits.second, cfg,
+        [&](const nn::StepTelemetry &t) { shard_steps.push_back(t); });
+
+    ASSERT_EQ(shard_steps.size(), ref_steps.size());
+    ASSERT_EQ(ref_steps.size(), 12u);   // 3 epochs x 4 steps
+    bool saw_sparse_mask = false;
+    for (size_t i = 0; i < ref_steps.size(); ++i) {
+        const nn::StepTelemetry &a = ref_steps[i];
+        const nn::StepTelemetry &b = shard_steps[i];
+        const std::string at = "step " + std::to_string(i);
+        EXPECT_EQ(b.epoch, a.epoch) << at;
+        EXPECT_EQ(b.step, a.step) << at;
+        EXPECT_EQ(b.batchSize, a.batchSize) << at;
+        EXPECT_EQ(b.batchLoss, a.batchLoss) << at;
+        ASSERT_EQ(b.reports.size(), a.reports.size()) << at;
+        ASSERT_FALSE(a.reports.empty()) << at;
+        for (size_t r = 0; r < a.reports.size(); ++r) {
+            const nn::LayerStepReport &x = a.reports[r];
+            const nn::LayerStepReport &y = b.reports[r];
+            const std::string where = at + " " + x.layerName;
+            EXPECT_EQ(y.layerName, x.layerName) << where;
+            EXPECT_EQ(y.kind, x.kind) << where;
+            EXPECT_EQ(y.batch, x.batch) << where;
+            EXPECT_EQ(y.K, x.K) << where;
+            EXPECT_EQ(y.C, x.C) << where;
+            EXPECT_EQ(y.R, x.R) << where;
+            EXPECT_EQ(y.S, x.S) << where;
+            EXPECT_EQ(y.P, x.P) << where;
+            EXPECT_EQ(y.Q, x.Q) << where;
+            EXPECT_EQ(y.stride, x.stride) << where;
+            EXPECT_EQ(y.hasMacs, x.hasMacs) << where;
+            EXPECT_EQ(y.sparseExecuted, x.sparseExecuted) << where;
+            EXPECT_EQ(y.fwMacs, x.fwMacs) << where;
+            EXPECT_EQ(y.bwDataMacs, x.bwDataMacs) << where;
+            EXPECT_EQ(y.bwWeightMacs, x.bwWeightMacs) << where;
+            EXPECT_EQ(y.hasWeightBytes, x.hasWeightBytes) << where;
+            EXPECT_EQ(y.csbWeightBytes, x.csbWeightBytes) << where;
+            EXPECT_EQ(y.denseWeightBytes, x.denseWeightBytes) << where;
+            EXPECT_EQ(y.hasMask, x.hasMask) << where;
+            EXPECT_EQ(y.mask.K, x.mask.K) << where;
+            EXPECT_EQ(y.mask.C, x.mask.C) << where;
+            EXPECT_EQ(y.mask.R, x.mask.R) << where;
+            EXPECT_EQ(y.mask.S, x.mask.S) << where;
+            EXPECT_EQ(y.mask.bits, x.mask.bits) << where;
+            EXPECT_EQ(y.inputDensity, x.inputDensity) << where;
+            EXPECT_EQ(y.outputDensity, x.outputDensity) << where;
+            EXPECT_EQ(y.inputChannelDensity, x.inputChannelDensity)
+                << where;
+            EXPECT_EQ(y.inputSampleDensity, x.inputSampleDensity)
+                << where;
+            EXPECT_EQ(y.inputSampleHalfDensity,
+                      x.inputSampleHalfDensity)
+                << where;
+            EXPECT_EQ(y.inputRowDensity, x.inputRowDensity) << where;
+            EXPECT_EQ(y.inputColDensity, x.inputColDensity) << where;
+            saw_sparse_mask = saw_sparse_mask ||
+                              (x.hasMask && x.mask.nnz() < x.mask.numel());
+        }
+    }
+    // Pruning fired, so the masks compared above are not all dense.
+    EXPECT_TRUE(saw_sparse_mask);
 }
 
 TEST(Scaleout, ShardSweepBitwiseDeterminismAcrossThreadCounts)

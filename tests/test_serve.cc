@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -199,6 +200,75 @@ TEST(TrainingJob, MatchesPlainTrainerBitwise)
         for (int64_t i = 0; i < ref_params[pi]->value.numel(); ++i)
             ASSERT_EQ(av[i], bv[i]);
     }
+}
+
+/** Identity layer that counts how often its report is gathered. */
+class ReportCounter : public nn::Layer
+{
+  public:
+    ReportCounter(int64_t *calls, std::string name)
+        : calls_(calls), name_(std::move(name))
+    {}
+
+    Tensor forward(const Tensor &x, bool) override { return x; }
+    Tensor backward(const Tensor &dy) override { return dy; }
+    std::string name() const override { return name_; }
+
+    bool
+    stepReport(nn::LayerStepReport *out) const override
+    {
+        ++*calls_;
+        out->layerName = name_;
+        return true;
+    }
+
+  private:
+    int64_t *calls_;
+    std::string name_;
+};
+
+TEST(TrainingJob, StatsOnlyStepGathersNoReports)
+{
+    // Reports cost O(activations); the JSONL step line needs none of
+    // them. This keeps a stats-only step (perfbench's timed window)
+    // free of report gathering.
+    const auto splits = serveSpirals();
+    int64_t calls = 0;
+    TrainingJob job(
+        sweepJobConfig(),
+        [&calls](Network &n) {
+            n.add<nn::Flatten>("fl");
+            n.add<nn::Linear>(2, 8, "fc1");
+            n.add<ReportCounter>(&calls, "count");
+            n.add<nn::ReLU>("r1");
+            n.add<nn::Linear>(8, 3, "fc2");
+            Xorshift128Plus rng(3);
+            nn::kaimingInit(n, rng);
+        },
+        [] { return std::make_unique<nn::Sgd>(0.05f); }, &splits.first,
+        &splits.second);
+
+    const std::string path =
+        ::testing::TempDir() + "serve_stats_only_test.jsonl";
+    {
+        serve::StatsWriter stats(path);
+        job.setStatsWriter(&stats);
+        job.runEpoch();
+        EXPECT_EQ(stats.linesWritten(), 5);   // 4 steps + the epoch
+        EXPECT_EQ(calls, 0);
+        job.setStatsWriter(nullptr);
+    }
+    std::remove(path.c_str());
+
+    int64_t observed = 0;
+    job.setObserver([&](const nn::StepTelemetry &t) {
+        ++observed;
+        EXPECT_EQ(calls, observed);
+        EXPECT_EQ(t.reports.size(), 4u);   // fc1, count, r1, fc2
+    });
+    job.runEpoch();
+    EXPECT_EQ(observed, 4);
+    EXPECT_EQ(calls, 4);   // once per step, not at the epoch close
 }
 
 // ---------------------------------------------------------------------
