@@ -9,47 +9,6 @@
 namespace procrustes {
 namespace arch {
 
-int64_t
-weightTileChunk(const ArrayConfig &cfg, const LayerShape &layer,
-                int64_t ext, int64_t array_dim)
-{
-    const int64_t rf_weight_words = (cfg.rfBytesPerPe / 4) * 3 / 4;
-    const int64_t by_rf =
-        std::max<int64_t>(1, rf_weight_words / (layer.R * layer.S));
-    const int64_t by_need = ceilDiv(ext, array_dim);
-    return std::min(by_rf, by_need);
-}
-
-std::vector<std::vector<ChunkTileRef>>
-weightChunkWaves(const ArrayConfig &cfg, const LayerShape &layer,
-                 int64_t ext0, int64_t ext1)
-{
-    const int64_t a0 = cfg.rows;
-    const int64_t a1 = cfg.cols;
-    const int64_t g = weightTileChunk(cfg, layer, ext1, a1);
-    const int64_t stride1 = a1 * g;
-
-    std::vector<std::vector<ChunkTileRef>> waves;
-    for (int64_t b0 = 0; b0 < ext0; b0 += a0) {
-        const int64_t n0 = std::min(a0, ext0 - b0);
-        for (int64_t b1 = 0; b1 < ext1; b1 += stride1) {
-            std::vector<ChunkTileRef> tiles;
-            for (int64_t i = 0; i < n0; ++i) {
-                for (int64_t j = 0; j < a1; ++j) {
-                    const int64_t base = b1 + j * g;
-                    if (base >= ext1)
-                        break;
-                    tiles.push_back(ChunkTileRef{
-                        b0 + i, base, std::min(g, ext1 - base)});
-                }
-            }
-            if (!tiles.empty())
-                waves.push_back(std::move(tiles));
-        }
-    }
-    return waves;
-}
-
 PhaseCost &
 PhaseCost::operator+=(const PhaseCost &o)
 {
@@ -76,217 +35,31 @@ CostModel::effectiveDensity(Phase phase,
                : profile.iactDensity();
 }
 
-double
-CostModel::sliceDensity(const LayerSparsityProfile &profile, Operand op,
-                        Dim d, int64_t idx) const
-{
-    if (op == Operand::Weights) {
-        if (d == Dim::K)
-            return profile.kDensity(idx);
-        if (d == Dim::C)
-            return profile.cDensity(idx);
-        PANIC("weights sliced along a non-weight dim");
-    }
-    if (d == Dim::N)
-        return profile.iactSampleDensity(idx);
-    if (d == Dim::C)
-        return profile.iactChannelDensity(idx);
-    PANIC("iacts sliced along an unsupported dim");
-}
-
-TileHalves
-CostModel::sliceHalves(const LayerSparsityProfile &profile, Operand op,
-                       Dim d, int64_t idx) const
-{
-    TileHalves h;
-    if (op == Operand::Weights) {
-        if (d == Dim::K) {
-            h.first = profile.kHalfDensity(idx, 0);
-            h.second = profile.kHalfDensity(idx, 1);
-        } else if (d == Dim::C) {
-            h.first = profile.cHalfDensity(idx, 0);
-            h.second = profile.cHalfDensity(idx, 1);
-        } else {
-            PANIC("weights sliced along a non-weight dim");
-        }
-        return h;
-    }
-    if (d == Dim::N) {
-        h.first = profile.iactSampleHalfDensity(idx, 0);
-        h.second = profile.iactSampleHalfDensity(idx, 1);
-    } else if (d == Dim::C) {
-        h.first = profile.iactChannelHalfDensity(idx, 0);
-        h.second = profile.iactChannelHalfDensity(idx, 1);
-    } else {
-        PANIC("iacts sliced along an unsupported dim");
-    }
-    return h;
-}
-
-double
-CostModel::pairDensity(const LayerSparsityProfile &profile, Operand op,
-                       Dim d0, int64_t i0, Dim d1, int64_t i1) const
-{
-    if (op == Operand::Weights) {
-        // Only the C,K pairing can index weights in both dims.
-        const int64_t k = d0 == Dim::K ? i0 : i1;
-        const int64_t c = d0 == Dim::K ? i1 : i0;
-        return profile.kernelDensity(k, c);
-    }
-    if ((d0 == Dim::P && d1 == Dim::Q) || (d0 == Dim::Q && d1 == Dim::P)) {
-        // Keep (p, q) order: the measured spatial marginals are not
-        // symmetric under index swap.
-        const int64_t p = d0 == Dim::P ? i0 : i1;
-        const int64_t q = d0 == Dim::P ? i1 : i0;
-        return profile.iactSpatialDensity(p, q);
-    }
-    // C,N pairing: ratio-combine the marginal densities so the mean
-    // stays near the layer's mean activation density.
-    const double dens0 = sliceDensity(profile, op, d0, i0);
-    const double dens1 = sliceDensity(profile, op, d1, i1);
-    const double mean_density = profile.iactDensity();
-    return clampd(dens0 * dens1 / std::max(mean_density, 1e-9), 0.01,
-                  1.0);
-}
-
 std::vector<WaveStats>
 CostModel::waveStats(const LayerShape &layer, Phase phase,
                      MappingKind mapping,
                      const LayerSparsityProfile &profile,
                      int64_t batch) const
 {
-    const auto dims = spatialDims(mapping);
-    const int64_t a0 = cfg_.rows;
-    const int64_t a1 = cfg_.cols;
-    const int64_t ext0 = dimExtent(layer, dims[0], batch);
-    const int64_t ext1 = dimExtent(layer, dims[1], batch);
-    const double dense_macs =
-        static_cast<double>(batch) *
-        static_cast<double>(layer.macsPerSample());
-    const double per_index =
-        dense_macs / static_cast<double>(ext0 * ext1);
-
-    const Operand sp = sparseOperand(phase);
-    const bool dep0 = dependsOn(sp, dims[0]);
-    const bool dep1 = dependsOn(sp, dims[1]);
-    const double global_density = effectiveDensity(phase, profile);
-    const bool model_structure = opts_.sparse && !opts_.ideal;
-    const bool cheap_ok = supportsCheapBalancing(phase, mapping);
-
-    if (model_structure && dep0 && dep1 && sp == Operand::Weights)
-        return chunkedWeightWaves(layer, phase, mapping, profile, batch);
-
-    std::vector<WaveStats> waves;
-    waves.reserve(static_cast<size_t>(ceilDiv(ext0, a0) *
-                                      ceilDiv(ext1, a1)));
-
-    for (int64_t b0 = 0; b0 < ext0; b0 += a0) {
-        const int64_t n0 = std::min(a0, ext0 - b0);
-        for (int64_t b1 = 0; b1 < ext1; b1 += a1) {
-            const int64_t n1 = std::min(a1, ext1 - b1);
-            WaveStats ws;
-
-            if (!model_structure || (!dep0 && !dep1)) {
-                // Dense, ideal, or a broadcast sparse operand: every
-                // active PE carries the same work.
-                ws.maxWork = per_index * global_density;
-                ws.meanWork = ws.maxWork;
-            } else if (dep0 != dep1) {
-                // Sparse along exactly one axis: one tile per index on
-                // that axis, replicated across the other axis.
-                const Dim d = dep0 ? dims[0] : dims[1];
-                const int64_t base = dep0 ? b0 : b1;
-                const int64_t count = dep0 ? n0 : n1;
-                std::vector<TileHalves> tiles;
-                tiles.reserve(static_cast<size_t>(count));
-                double sum = 0.0;
-                for (int64_t i = 0; i < count; ++i) {
-                    TileHalves h =
-                        sliceHalves(profile, sp, d, base + i);
-                    h.first *= per_index;
-                    h.second *= per_index;
-                    sum += h.total();
-                    tiles.push_back(h);
-                }
-                ws.meanWork = sum / static_cast<double>(count);
-                if (opts_.balance == BalanceMode::FullChip) {
-                    ws.maxWork = ws.meanWork;
-                } else if (opts_.balance == BalanceMode::HalfTile &&
-                           cheap_ok) {
-                    ws.maxWork = rebalancedMax(tiles);
-                } else {
-                    ws.maxWork = unbalancedMax(tiles);
-                }
-            } else {
-                // Sparse along both axes (e.g. weight-sparse C,K):
-                // per-PE work follows the kernel densities; half-tile
-                // pairing cannot run on the simple interconnect here
-                // (Figure 10), so only chip-wide balancing helps.
-                double worst = 0.0;
-                double sum = 0.0;
-                for (int64_t i = 0; i < n0; ++i) {
-                    for (int64_t j = 0; j < n1; ++j) {
-                        const double dens = pairDensity(
-                            profile, sp, dims[0], b0 + i, dims[1],
-                            b1 + j);
-                        const double work = per_index * dens;
-                        worst = std::max(worst, work);
-                        sum += work;
-                    }
-                }
-                ws.meanWork = sum / static_cast<double>(n0 * n1);
-                ws.maxWork = opts_.balance == BalanceMode::FullChip
-                                 ? ws.meanWork
-                                 : worst;
-            }
-            waves.push_back(ws);
-        }
+    const WaveTiler tiler(cfg_, layer, phase, mapping, batch,
+                          opts_.sparse && !opts_.ideal);
+    if (tiler.shape() == SlotShape::Uniform) {
+        // Dense, ideal, or a broadcast sparse operand: every active PE
+        // carries the same work.
+        const double work =
+            tiler.perIndex() * effectiveDensity(phase, profile);
+        return std::vector<WaveStats>(
+            static_cast<size_t>(tiler.waveCount()), WaveStats{work, work});
     }
-    return waves;
-}
-
-std::vector<WaveStats>
-CostModel::chunkedWeightWaves(const LayerShape &layer, Phase phase,
-                              MappingKind mapping,
-                              const LayerSparsityProfile &profile,
-                              int64_t batch) const
-{
-    // Weight-stationary tiling (C,K-style mappings): each PE holds a
-    // chunk of kernels along the second spatial dim, bounded by its
-    // register file, and streams activations over it. Per-PE work is
-    // the summed density of its chunk — coarser granularity than a
-    // single kernel, which is what keeps the Figure 5 overheads in
-    // the tens of percent rather than multiples.
-    (void)phase;   // all phases tile weights identically here
-    const auto dims = spatialDims(mapping);
-    const int64_t ext0 = dimExtent(layer, dims[0], batch);
-    const int64_t ext1 = dimExtent(layer, dims[1], batch);
-    const double dense_macs =
-        static_cast<double>(batch) *
-        static_cast<double>(layer.macsPerSample());
-    const double per_index =
-        dense_macs / static_cast<double>(ext0 * ext1);
-
     std::vector<WaveStats> waves;
-    for (const auto &tiles : weightChunkWaves(cfg_, layer, ext0, ext1)) {
-        WaveStats ws;
-        double worst = 0.0;
-        double sum = 0.0;
-        for (const ChunkTileRef &t : tiles) {
-            double work = 0.0;
-            for (int64_t s = 0; s < t.chunkCount; ++s) {
-                work += per_index *
-                        pairDensity(profile, Operand::Weights, dims[0],
-                                    t.index0, dims[1], t.chunkBase + s);
-            }
-            worst = std::max(worst, work);
-            sum += work;
-        }
-        ws.meanWork = sum / static_cast<double>(tiles.size());
-        ws.maxWork = opts_.balance == BalanceMode::FullChip ? ws.meanWork
-                                                            : worst;
-        waves.push_back(ws);
-    }
+    waves.reserve(static_cast<size_t>(tiler.waveCount()));
+    forEachWaveTiles(
+        tiler, ProfileSlotWork{profile}, tiler.perIndex(),
+        [&](const std::vector<TileHalves> &tiles) {
+            waves.push_back(WaveStats{
+                balancedMax(tiles, opts_.balance, tiler.halfTileOk()),
+                meanWork(tiles)});
+        });
     return waves;
 }
 

@@ -9,7 +9,7 @@
  *
  *  Latency.  Work is issued in *waves* — full-PE-array sets of work
  *  tiles, one tile per PE, tiles indexed by the mapping's two spatial
- *  dimensions (Figure 4). Per-tile work scales with the local density
+ *  dimensions (Figure 4; the tiling is arch/wave_tiler.h). Per-tile work scales with the local density
  *  of the phase's sparse operand (from the mask's per-kernel structure)
  *  and wave latency is the maximum over its tiles; the half-tile
  *  balancer transforms the tile multiset before the max when the
@@ -40,19 +40,11 @@
 
 #include "arch/arch_config.h"
 #include "arch/dataflow.h"
-#include "arch/load_balancer.h"
 #include "arch/sparsity_profile.h"
+#include "arch/wave_tiler.h"
 
 namespace procrustes {
 namespace arch {
-
-/** Load-balancing policy applied by the model. */
-enum class BalanceMode
-{
-    None,       //!< tiles run where they land (Figure 4b)
-    HalfTile,   //!< Procrustes half-tile pairing along the sparse axis
-    FullChip,   //!< perfect chip-wide balancing (complex interconnect)
-};
 
 /** Model behaviour switches. */
 struct CostOptions
@@ -101,35 +93,6 @@ struct CostOptions
      */
     double interconnectWordsPerCycle = -1.0;
 };
-
-/**
- * Kernels per work tile along the spatialized weight dimension:
- * bounded by half the register file (weight-stationary residency) and
- * never more than what one pass over the dimension requires. Single
- * kernels only when the dimension is small or kernels are large.
- */
-int64_t weightTileChunk(const ArrayConfig &cfg, const LayerShape &layer,
-                        int64_t ext, int64_t array_dim);
-
-/** One PE's tile of an RF-chunked weight-stationary wave. */
-struct ChunkTileRef
-{
-    int64_t index0 = 0;     //!< in-range index along the first dim
-    int64_t chunkBase = 0;  //!< first kernel of the chunk (second dim)
-    int64_t chunkCount = 0; //!< kernels in this PE's chunk
-};
-
-/**
- * Per-wave tile geometry of the RF-chunked weight-stationary tiling
- * (C,K-style mappings where both spatial dims index the weights):
- * one inner vector per wave, one ChunkTileRef per active PE, in issue
- * order. Shared by the modelled waves (CostModel::evaluatePhase) and
- * the measured-mask replay (arch/trace_imbalance.h) so the two can
- * never tile at different granularities.
- */
-std::vector<std::vector<ChunkTileRef>>
-weightChunkWaves(const ArrayConfig &cfg, const LayerShape &layer,
-                 int64_t ext0, int64_t ext1);
 
 /**
  * Measured per-layer facts that replace modelled estimates — the seam
@@ -237,7 +200,8 @@ class CostModel
                             int64_t batch,
                             const MeasuredLayerStats &measured = {}) const;
 
-    /** Per-wave latency stats (drives Figures 5 and 13). */
+    /** Per-wave latency stats (their maxima sum to the compute
+        latency). */
     std::vector<WaveStats> waveStats(const LayerShape &layer, Phase phase,
                                      MappingKind mapping,
                                      const LayerSparsityProfile &profile,
@@ -251,28 +215,11 @@ class CostModel
     double effectiveDensity(Phase phase,
                             const LayerSparsityProfile &profile) const;
 
-    /** Slice density of the sparse operand along one spatial dim. */
-    double sliceDensity(const LayerSparsityProfile &profile, Operand op,
-                        Dim d, int64_t idx) const;
-
-    /** Half-split slice densities (for the balancer). */
-    TileHalves sliceHalves(const LayerSparsityProfile &profile,
-                           Operand op, Dim d, int64_t idx) const;
-
-    /** Density when both spatial dims index the sparse operand. */
-    double pairDensity(const LayerSparsityProfile &profile, Operand op,
-                       Dim d0, int64_t i0, Dim d1, int64_t i1) const;
-
     /** Compute-side latency: sum of wave maxima. */
     double computeLatency(const LayerShape &layer, Phase phase,
                           MappingKind mapping,
                           const LayerSparsityProfile &profile,
                           int64_t batch) const;
-
-    /** Wave stats for weight-sparse both-axes mappings (RF-chunked). */
-    std::vector<WaveStats> chunkedWeightWaves(
-        const LayerShape &layer, Phase phase, MappingKind mapping,
-        const LayerSparsityProfile &profile, int64_t batch) const;
 
     /** GLB access count for the whole phase. */
     double glbAccesses(const LayerShape &layer, Phase phase,

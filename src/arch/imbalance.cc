@@ -27,38 +27,29 @@ collectOverheads(const NetworkModel &model,
 {
     PROCRUSTES_ASSERT(profiles.size() == model.layers.size(),
                       "profile count mismatch");
-    CostOptions opts;
-    opts.sparse = true;
-    opts.balance = balance;
-    const CostModel cm(cfg, opts);
-
     std::vector<double> overheads;
     for (size_t i = 0; i < model.layers.size(); ++i) {
-        const auto waves = cm.waveStats(model.layers[i], phase, mapping,
-                                        profiles[i], batch);
-        for (const WaveStats &ws : waves)
-            overheads.push_back(ws.overhead());
+        const WaveTiler tiler(cfg, model.layers[i], phase, mapping, batch);
+        forEachWaveTiles(tiler, ProfileSlotWork{profiles[i]},
+                         tiler.perIndex(),
+                         [&](const std::vector<TileHalves> &tiles) {
+                             overheads.push_back(waveOverhead(
+                                 tiles, balance, tiler.halfTileOk()));
+                         });
     }
     return overheads;
 }
 
 double
 waveOverhead(const std::vector<TileHalves> &tiles, BalanceMode balance,
-             bool cheap_ok)
+             bool half_tile_ok)
 {
     if (tiles.empty())
         return 0.0;
     const double mean = meanWork(tiles);
     if (mean <= 0.0)
         return 0.0;
-    double worst;
-    if (balance == BalanceMode::FullChip)
-        worst = mean;
-    else if (balance == BalanceMode::HalfTile && cheap_ok)
-        worst = rebalancedMax(tiles);
-    else
-        worst = unbalancedMax(tiles);
-    return worst / mean - 1.0;
+    return balancedMax(tiles, balance, half_tile_ok) / mean - 1.0;
 }
 
 ImbalanceHistogram

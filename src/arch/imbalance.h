@@ -8,6 +8,14 @@
  * histograms these overheads for the unbalanced weight-stationary C,K
  * mapping; Figure 13 repeats the exercise after half-tile balancing
  * under the minibatch-spatial dataflow.
+ *
+ * One engine produces every histogram: the waves of the wave tiler
+ * (arch/wave_tiler.h), each working set's overhead from waveOverhead.
+ * Only the slot-work oracle depends on the data source.
+ * collectOverheads reads LayerSparsityProfiles (ProfileSlotWork);
+ * collectMeasuredOverheads and measuredEpochImbalance
+ * (arch/trace_imbalance.h) read a recorded WorkloadTrace epoch
+ * (TraceSlotWork).
  */
 
 #ifndef PROCRUSTES_ARCH_IMBALANCE_H_
@@ -37,10 +45,8 @@ struct ImbalanceHistogram
  * Collect per-wave overheads for every layer of a network in one phase
  * under one mapping/balancing configuration. Waves whose workload is
  * uniform by construction report zero overhead. Tile work comes from
- * the profiles — synthetic jitter when they were built synthetically,
- * measured statistics when they came from a WorkloadTrace; the
- * mask-direct replay in arch/trace_imbalance.h skips the profile
- * abstraction entirely.
+ * the profiles (ProfileSlotWork) in the cost model's unit, so each
+ * overhead is exactly that of CostModel::waveStats.
  */
 std::vector<double>
 collectOverheads(const NetworkModel &model,
@@ -51,13 +57,13 @@ collectOverheads(const NetworkModel &model,
 /**
  * Execution overhead of one working set of half-split tiles under a
  * balancing policy: slowest slot over the perfectly balanced latency,
- * minus one. `cheap_ok` gates the half-tile pairing exactly as the
- * cost model does (supportsCheapBalancing): a mapping that cannot
- * rebalance on the simple interconnect falls back to unbalanced
- * execution. Empty or zero-work working sets report zero overhead.
+ * minus one, with the wave latency of balancedMax. A mapping whose
+ * `half_tile_ok` gate is false (WaveTiler::halfTileOk) falls back to
+ * unbalanced execution. Empty or zero-work working sets report zero
+ * overhead.
  */
 double waveOverhead(const std::vector<TileHalves> &tiles,
-                    BalanceMode balance, bool cheap_ok);
+                    BalanceMode balance, bool half_tile_ok);
 
 /** Bin overheads into a histogram with `bins` bins of `bin_width`. */
 ImbalanceHistogram buildHistogram(const std::vector<double> &overheads,

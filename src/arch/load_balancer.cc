@@ -55,5 +55,16 @@ meanWork(const std::vector<TileHalves> &tiles)
     return sum / static_cast<double>(tiles.size());
 }
 
+double
+balancedMax(const std::vector<TileHalves> &tiles, BalanceMode balance,
+            bool half_tile_ok)
+{
+    if (balance == BalanceMode::FullChip)
+        return meanWork(tiles);
+    if (balance == BalanceMode::HalfTile && half_tile_ok)
+        return rebalancedMax(tiles);
+    return unbalancedMax(tiles);
+}
+
 } // namespace arch
 } // namespace procrustes

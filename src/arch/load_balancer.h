@@ -21,6 +21,14 @@
 namespace procrustes {
 namespace arch {
 
+/** Load-balancing policy applied to a working set. */
+enum class BalanceMode
+{
+    None,       //!< tiles run where they land (Figure 4b)
+    HalfTile,   //!< Procrustes half-tile pairing along the sparse axis
+    FullChip,   //!< perfect chip-wide balancing (complex interconnect)
+};
+
 /** Work carried by the two halves of one tile. */
 struct TileHalves
 {
@@ -47,6 +55,14 @@ double unbalancedMax(const std::vector<TileHalves> &tiles);
 
 /** Mean per-slot work — the perfectly balanced wave latency. */
 double meanWork(const std::vector<TileHalves> &tiles);
+
+/**
+ * Wave latency under a balancing policy: the mean for FullChip, the
+ * rebalanced maximum for HalfTile where `half_tile_ok` admits the
+ * pairing (supportsCheapBalancing), the unbalanced maximum otherwise.
+ */
+double balancedMax(const std::vector<TileHalves> &tiles,
+                   BalanceMode balance, bool half_tile_ok);
 
 } // namespace arch
 } // namespace procrustes

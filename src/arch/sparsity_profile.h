@@ -121,7 +121,13 @@ class LayerSparsityProfile
     /** Input-activation density of channel c. */
     double iactChannelDensity(int64_t c) const;
 
-    /** Half-split (along K... i.e. jitter) of channel c's density. */
+    /**
+     * Half `h` (0/1) of channel c's density, the halves the balancer
+     * pairs when iacts are sliced along C. No measurement splits a
+     * channel, so a measured profile halves iactChannelDensity(c)
+     * evenly; a synthetic one jitters each half independently (the
+     * halves then need not sum to the channel density).
+     */
     double iactChannelHalfDensity(int64_t c, int h) const;
 
     /** Input-activation density at output location (p, q). */

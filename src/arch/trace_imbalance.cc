@@ -25,8 +25,14 @@ wrapped(const std::vector<double> &v, int64_t idx, double fallback)
 
 } // namespace
 
+double
+TraceSlotWork::uniform(Operand sp) const
+{
+    return sp == Operand::Weights ? layer.weightDensity() : layer.iacts.mean;
+}
+
 TileHalves
-measuredSliceWork(const LayerTrace &layer, Operand sp, Dim d, int64_t idx)
+TraceSlotWork::halves(Operand sp, Dim d, int64_t idx) const
 {
     const sparse::SparsityMask &mask = layer.mask;
     TileHalves h;
@@ -93,8 +99,7 @@ measuredSliceWork(const LayerTrace &layer, Operand sp, Dim d, int64_t idx)
 }
 
 double
-measuredPairWork(const LayerTrace &layer, Operand sp, Dim d0, int64_t i0,
-                 Dim d1, int64_t i1)
+TraceSlotWork::pair(Operand sp, Dim d0, int64_t i0, Dim d1, int64_t i1) const
 {
     if (sp == Operand::Weights) {
         // Only the C,K pairing can index weights in both dims.
@@ -137,105 +142,30 @@ measuredPairWork(const LayerTrace &layer, Operand sp, Dim d0, int64_t i0,
     return clampd(work / mean, 0.0, 1.0);
 }
 
-std::vector<std::vector<TileHalves>>
-measuredLayerWaves(const LayerTrace &layer, Phase phase,
-                   MappingKind mapping, const ArrayConfig &cfg,
-                   int64_t batch)
+double
+TraceSlotWork::sliceUnit(Operand sp, Dim d) const
 {
-    const LayerShape &shape = layer.shape;
-    const auto dims = spatialDims(mapping);
-    const int64_t a0 = cfg.rows;
-    const int64_t a1 = cfg.cols;
-    const int64_t ext0 = dimExtent(shape, dims[0], batch);
-    const int64_t ext1 = dimExtent(shape, dims[1], batch);
-    const Operand sp = sparseOperand(phase);
-    const bool dep0 = dependsOn(sp, dims[0]);
-    const bool dep1 = dependsOn(sp, dims[1]);
+    if (sp != Operand::Weights)
+        return 1.0;
+    const sparse::SparsityMask &mask = layer.mask;
+    return static_cast<double>(std::max<int64_t>(
+               1, d == Dim::K ? mask.C : mask.K)) *
+           pairUnit(sp);
+}
 
-    std::vector<std::vector<TileHalves>> waves;
-    const int64_t blocks0 = ceilDiv(ext0, a0);
-    const int64_t blocks1 = ceilDiv(ext1, a1);
-
-    if (!dep0 && !dep1) {
-        // The sparse operand is broadcast: every PE of every wave
-        // carries the same work by construction.
-        waves.assign(static_cast<size_t>(blocks0 * blocks1),
-                     {TileHalves{0.5, 0.5}});
-        return waves;
-    }
-
-    if (dep0 && dep1 && sp == Operand::Weights) {
-        // Weight-stationary C,K tiling: each PE holds an RF-bounded
-        // chunk of kernels along the second spatial dim — the exact
-        // geometry of the modelled waves (weightChunkWaves is shared
-        // with CostModel) — and its work is the summed live count of
-        // the chunk. Halves split evenly: half-tile balancing is never
-        // admissible on two sparse axes, so only the total is ever
-        // consumed.
-        for (const auto &chunk_tiles :
-             weightChunkWaves(cfg, shape, ext0, ext1)) {
-            std::vector<TileHalves> tiles;
-            tiles.reserve(chunk_tiles.size());
-            for (const ChunkTileRef &t : chunk_tiles) {
-                double w = 0.0;
-                for (int64_t s = 0; s < t.chunkCount; ++s) {
-                    w += measuredPairWork(layer, sp, dims[0], t.index0,
-                                          dims[1], t.chunkBase + s);
-                }
-                tiles.push_back(TileHalves{w / 2.0, w / 2.0});
-            }
-            waves.push_back(std::move(tiles));
-        }
-        return waves;
-    }
-
-    if (dep0 != dep1) {
-        // Sparse along exactly one axis: one tile per index on that
-        // axis, replicated (identically) across every block of the
-        // dense axis.
-        const Dim d = dep0 ? dims[0] : dims[1];
-        const int64_t a = dep0 ? a0 : a1;
-        const int64_t ext = dep0 ? ext0 : ext1;
-        const int64_t dense_blocks = dep0 ? blocks1 : blocks0;
-        for (int64_t b = 0; b < ext; b += a) {
-            const int64_t count = std::min(a, ext - b);
-            std::vector<TileHalves> tiles;
-            tiles.reserve(static_cast<size_t>(count));
-            for (int64_t i = 0; i < count; ++i)
-                tiles.push_back(measuredSliceWork(layer, sp, d, b + i));
-            for (int64_t r = 0; r < dense_blocks; ++r)
-                waves.push_back(tiles);
-        }
-        return waves;
-    }
-
-    // Sparse along both axes with an activation operand (e.g. the C,N
-    // or P,Q pairings in the weight-update phase): per-PE work from
-    // the combined measured marginals; no half measurement exists at
-    // this granularity, so halves split evenly (half-tile balancing is
-    // not admissible on two sparse axes anyway).
-    for (int64_t b0 = 0; b0 < ext0; b0 += a0) {
-        const int64_t n0 = std::min(a0, ext0 - b0);
-        for (int64_t b1 = 0; b1 < ext1; b1 += a1) {
-            const int64_t n1 = std::min(a1, ext1 - b1);
-            std::vector<TileHalves> tiles;
-            tiles.reserve(static_cast<size_t>(n0 * n1));
-            for (int64_t i = 0; i < n0; ++i) {
-                for (int64_t j = 0; j < n1; ++j) {
-                    const double w = measuredPairWork(
-                        layer, sp, dims[0], b0 + i, dims[1], b1 + j);
-                    tiles.push_back(TileHalves{w / 2.0, w / 2.0});
-                }
-            }
-            waves.push_back(std::move(tiles));
-        }
-    }
-    return waves;
+double
+TraceSlotWork::pairUnit(Operand sp) const
+{
+    if (sp != Operand::Weights)
+        return 1.0;
+    return static_cast<double>(std::max<int64_t>(1, layer.mask.R) *
+                               std::max<int64_t>(1, layer.mask.S));
 }
 
 namespace {
 
-/** Invoke `fn` on every wave's tile set of an epoch in one phase. */
+/** Invoke `fn(tiles, half_tile_ok)` on every wave's tile set of an
+    epoch in one phase. */
 template <typename Fn>
 void
 forEachMeasuredWave(const EpochTrace &epoch, Phase phase,
@@ -243,10 +173,12 @@ forEachMeasuredWave(const EpochTrace &epoch, Phase phase,
 {
     PROCRUSTES_ASSERT(epoch.batchSize > 0, "epoch has no batch size");
     for (const LayerTrace &l : epoch.layers) {
-        const auto waves =
-            measuredLayerWaves(l, phase, mapping, cfg, epoch.batchSize);
-        for (const auto &tiles : waves)
-            fn(tiles);
+        const WaveTiler tiler(cfg, l.shape, phase, mapping,
+                              epoch.batchSize);
+        forEachWaveTiles(tiler, TraceSlotWork{l}, 1.0,
+                         [&](const std::vector<TileHalves> &tiles) {
+                             fn(tiles, tiler.halfTileOk());
+                         });
     }
 }
 
@@ -257,12 +189,12 @@ collectMeasuredOverheads(const EpochTrace &epoch, Phase phase,
                          MappingKind mapping, const ArrayConfig &cfg,
                          BalanceMode balance)
 {
-    const bool cheap_ok = supportsCheapBalancing(phase, mapping);
     std::vector<double> overheads;
     forEachMeasuredWave(epoch, phase, mapping, cfg,
-                        [&](const std::vector<TileHalves> &tiles) {
+                        [&](const std::vector<TileHalves> &tiles,
+                            bool half_tile_ok) {
                             overheads.push_back(
-                                waveOverhead(tiles, balance, cheap_ok));
+                                waveOverhead(tiles, balance, half_tile_ok));
                         });
     return overheads;
 }
@@ -279,14 +211,14 @@ measuredEpochImbalance(const EpochTrace &epoch, MappingKind mapping,
     // balancing gate match), so the mask is tiled once and each
     // overhead counted twice to keep the pooled phase weighting.
     for (Phase phase : {Phase::Forward, Phase::WeightUpdate}) {
-        const bool cheap_ok = supportsCheapBalancing(phase, mapping);
         const int copies = phase == Phase::Forward ? 2 : 1;
         forEachMeasuredWave(
             epoch, phase, mapping, cfg,
-            [&](const std::vector<TileHalves> &tiles) {
-                const double b = waveOverhead(tiles, balance, cheap_ok);
+            [&](const std::vector<TileHalves> &tiles, bool half_tile_ok) {
+                const double b =
+                    waveOverhead(tiles, balance, half_tile_ok);
                 const double u =
-                    waveOverhead(tiles, BalanceMode::None, cheap_ok);
+                    waveOverhead(tiles, BalanceMode::None, half_tile_ok);
                 for (int r = 0; r < copies; ++r) {
                     balanced.push_back(b);
                     unbalanced.push_back(u);

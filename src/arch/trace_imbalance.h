@@ -3,18 +3,18 @@
  * Measured-mask load-balance replay: Figures 5 and 13 rebuilt from the
  * masks a real training run produced, not from synthetic profiles.
  *
- * collectOverheads answers "how imbalanced would this network be"
- * through a LayerSparsityProfile, whose activation statistics may be
- * synthetic jitter. This module answers the question for a recorded
- * WorkloadTrace epoch with no profile in between: per-wave TileHalves
- * work is tallied directly from the epoch-final weight masks (fw/bw
- * phases — exact per-slice non-zero counts via SparsityMask::tileNnz
- * and per-kernel counts for the RF-chunked C,K tiling) and from the
- * measured per-sample / per-channel activation-density vectors (wu
- * phase), then run through the same half-tile balancer the hardware
- * would use (rebalanceHalfTiles). Accelerator::evaluateTrace emits the
- * resulting balanced/unbalanced histograms per epoch, which is what
- * BENCH_cosim.json v3 records.
+ * The replay engine is the one of arch/imbalance.h — the wave tiler's
+ * waves, one overhead per working set from waveOverhead. This module
+ * supplies the trace slot-work oracle, TraceSlotWork, which answers
+ * from a recorded WorkloadTrace layer with no profile in between:
+ * exact live-weight counts of the epoch-final mask for the fw/bw
+ * phases (SparsityMask::tileNnz per slice, blockNnz per kernel of the
+ * RF-chunked C,K tiling) and the measured per-sample / per-channel /
+ * spatial activation-density vectors for the wu phase. The cycle
+ * simulator's trace replay uses the same oracle, so both tally
+ * identical work. Accelerator::evaluateTrace emits the resulting
+ * balanced/unbalanced histograms per epoch, which is what
+ * BENCH_cosim.json records.
  */
 
 #ifndef PROCRUSTES_ARCH_TRACE_IMBALANCE_H_
@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "arch/imbalance.h"
+#include "arch/wave_tiler.h"
 #include "arch/workload_trace.h"
 
 namespace procrustes {
@@ -37,46 +38,43 @@ struct EpochImbalance
 };
 
 /**
- * Half-split work of one slice of the sparse operand along dim `d`.
- * Weights slice to *exact* live-position counts from the epoch-final
- * mask (SparsityMask::tileNnz, halved along the axis the half-tile
- * balancer cuts); activations slice to measured densities (per-sample
- * halves where the telemetry recorded them, per-channel means
- * otherwise). Shared by the imbalance replay and the trace-driven
- * cycle simulator so both tally identical work.
+ * Trace slot-work oracle (the interface of ProfileSlotWork, in the
+ * trace's own units). Weights answer in live-position counts:
+ * `halves` splits a slice's exact count (SparsityMask::tileNnz) along
+ * the axis the half-tile balancer cuts (Figure 9), `pair` is one
+ * kernel's count (SparsityMask::blockNnz). Activations answer in
+ * measured densities: per-sample halves where the telemetry recorded
+ * them, per-channel means split evenly, and for two sparse axes the
+ * measured marginals ratio-combined (clamped to [0, 1]). Indices wrap
+ * into the measured vectors; empty vectors fall back to the mean.
  */
-TileHalves measuredSliceWork(const LayerTrace &layer, Operand sp, Dim d,
-                             int64_t idx);
+struct TraceSlotWork
+{
+    const LayerTrace &layer;
 
-/**
- * Work of one PE tile when both spatial dims index the sparse operand:
- * exact per-kernel counts (SparsityMask::blockNnz) for weights,
- * ratio-combined measured marginals (clamped to [0, 1]) for
- * activations.
- */
-double measuredPairWork(const LayerTrace &layer, Operand sp, Dim d0,
-                        int64_t i0, Dim d1, int64_t i1);
+    /** Layer-mean density of the operand (Uniform slots). */
+    double uniform(Operand sp) const;
 
-/**
- * Per-wave working sets of one traced layer in one phase under one
- * mapping: each inner vector holds the half-split work tiles of one
- * full-PE-array wave, in issue order. Work units are live weight
- * positions (fw/bw: exact counts from the epoch-final mask) or
- * relative activation non-zero volume (wu: measured density vectors);
- * overheads are ratios within a wave, so the unit never matters.
- * Waves whose sparse operand is uniform across the array by
- * construction carry a single uniform tile (zero overhead).
- */
-std::vector<std::vector<TileHalves>>
-measuredLayerWaves(const LayerTrace &layer, Phase phase,
-                   MappingKind mapping, const ArrayConfig &cfg,
-                   int64_t batch);
+    double slice(Operand sp, Dim d, int64_t idx) const
+    {
+        return halves(sp, d, idx).total();
+    }
+
+    TileHalves halves(Operand sp, Dim d, int64_t idx) const;
+
+    double pair(Operand sp, Dim d0, int64_t i0, Dim d1, int64_t i1) const;
+
+    /** Dense positions per unit of slice / pair work: the slice's or
+        kernel's weight positions, 1 for activation densities. */
+    double sliceUnit(Operand sp, Dim d) const;
+    double pairUnit(Operand sp) const;
+};
 
 /**
  * Per-wave overheads of every layer of a traced epoch in one phase —
- * the measured-mask analogue of collectOverheads. Half-tile balancing
- * applies only where the mapping admits it (supportsCheapBalancing),
- * exactly like the cost model.
+ * collectOverheads with the trace oracle. Half-tile balancing applies
+ * only where the mapping admits it (WaveTiler::halfTileOk), exactly
+ * like the cost model.
  */
 std::vector<double>
 collectMeasuredOverheads(const EpochTrace &epoch, Phase phase,

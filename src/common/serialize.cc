@@ -21,12 +21,26 @@ ByteReader::readTensor()
         FATAL("checkpoint corrupt: tensor rank out of range");
     std::vector<int64_t> dims;
     dims.reserve(rank);
-    for (uint32_t i = 0; i < rank; ++i)
+    for (uint32_t i = 0; i < rank; ++i) {
         dims.push_back(readI64());
+        if (dims.back() < 0)
+            FATAL("checkpoint corrupt: negative tensor extent");
+    }
     const int64_t numel = readI64();
-    Tensor t(rank ? Shape(dims) : Shape{});
-    if (t.numel() != numel)
+    // Check the payload fits before the Tensor allocates it; the
+    // running product stays within the payload, so it cannot overflow.
+    uint64_t product = 1;
+    for (int64_t d : dims) {
+        if (d != 0 && product > remaining() / sizeof(float) /
+                                    static_cast<uint64_t>(d)) {
+            FATAL("checkpoint truncated: tensor payload overruns "
+                  "snapshot");
+        }
+        product *= static_cast<uint64_t>(d);
+    }
+    if (static_cast<uint64_t>(numel) != product)
         FATAL("checkpoint corrupt: tensor payload size mismatch");
+    Tensor t(rank ? Shape(dims) : Shape{});
     readBytes(t.data(), static_cast<size_t>(numel) * sizeof(float));
     return t;
 }

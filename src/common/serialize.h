@@ -91,10 +91,21 @@ class ByteReader
     void
     readBytes(void *out, size_t n)
     {
-        if (off_ + n > size_)
-            FATAL("checkpoint truncated: read past end of snapshot");
+        requireFits(n, 1);
         std::memcpy(out, data_ + off_, n);
         off_ += n;
+    }
+
+    /**
+     * FATAL unless `count` items of `item_bytes` each fit in the unread
+     * payload. Call it before sizing a buffer from a stored length: a
+     * corrupt length must fail here, not in the allocator.
+     */
+    void
+    requireFits(uint64_t count, size_t item_bytes) const
+    {
+        if (count > remaining() / item_bytes)
+            FATAL("checkpoint truncated: read past end of snapshot");
     }
 
     uint8_t readU8() { return readScalar<uint8_t>(); }
@@ -104,10 +115,22 @@ class ByteReader
     double readF64() { return readScalar<double>(); }
     float readF32() { return readScalar<float>(); }
 
+    /** A flag written as writeU8(0 or 1); any other byte is corrupt
+        (it would restore, then re-serialize differently). */
+    bool
+    readBool()
+    {
+        const uint8_t v = readU8();
+        if (v > 1)
+            FATAL("checkpoint corrupt: flag byte is neither 0 nor 1");
+        return v != 0;
+    }
+
     std::string
     readString()
     {
         const uint32_t n = readU32();
+        requireFits(n, 1);
         std::string s(n, '\0');
         readBytes(s.data(), n);
         return s;
@@ -120,6 +143,7 @@ class ByteReader
         const int64_t n = readI64();
         if (n < 0)
             FATAL("checkpoint corrupt: negative array length");
+        requireFits(static_cast<uint64_t>(n), sizeof(float));
         std::vector<float> v(static_cast<size_t>(n));
         readBytes(v.data(), v.size() * sizeof(float));
         return v;

@@ -39,9 +39,9 @@ BatchNorm2d::restoreState(ByteReader &r)
 {
     Tensor mean = r.readTensor();
     Tensor var = r.readTensor();
-    PROCRUSTES_ASSERT(mean.numel() == channels_ &&
-                          var.numel() == channels_,
-                      "batchnorm running-stat shape mismatch on restore");
+    if (mean.numel() != channels_ || var.numel() != channels_)
+        FATAL("checkpoint/network mismatch: batchnorm running-stat "
+              "shape differs");
     runningMean_ = std::move(mean);
     runningVar_ = std::move(var);
 }

@@ -78,9 +78,10 @@ Sgd::restoreState(ByteReader &r)
 {
     Optimizer::restoreState(r);
     velocity_.clear();
-    if (r.readU8()) {
+    if (r.readBool()) {
+        // No reserve: a corrupt count must fail on the first missing
+        // tensor, not in the allocator.
         const uint32_t count = r.readU32();
-        velocity_.reserve(count);
         for (uint32_t i = 0; i < count; ++i)
             velocity_.push_back(r.readTensor());
     }

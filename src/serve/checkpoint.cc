@@ -116,7 +116,7 @@ restoreTrainingState(const std::vector<uint8_t> &blob, nn::Network &net,
             FATAL("checkpoint/network mismatch: parameter '" + name +
                   "' in snapshot, '" + p->name + "' in network");
         }
-        const bool prunable = r.readU8() != 0;
+        const bool prunable = r.readBool();
         if (prunable != p->prunable) {
             FATAL("checkpoint/network mismatch: prunability differs "
                   "for parameter '" +

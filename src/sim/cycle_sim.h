@@ -79,11 +79,12 @@
  *
  * Entry points: simulateWave clocks one explicit WaveSpec;
  * simulateWaveSequence chains a sequence (with drain overlap when
- * enabled); simulateLayerPhase builds waves from the analytic model's
- * synthetic sparsity profile; simulateTraceLayerPhase /
- * simulateTraceEpoch build them from a measured WorkloadTrace epoch
- * (exact epoch-final mask slice counts and measured activation
- * vectors, shared with the imbalance replay in
+ * enabled). simulateLayerPhase and simulateTraceEpoch build their
+ * waves with the analytic model's wave tiler (arch/wave_tiler.h) and
+ * take per-slot work from the same slot-work oracles as the model and
+ * the imbalance replay: ProfileSlotWork over a LayerSparsityProfile,
+ * TraceSlotWork over a measured WorkloadTrace epoch (exact epoch-final
+ * mask slice counts and measured activation vectors,
  * arch/trace_imbalance.h). buildEpochWavePlan / simulateEpochPlan
  * split the epoch replay into its SimConfig-independent geometry and
  * the per-config clocking, so knob sweeps over one measured epoch
@@ -283,12 +284,17 @@ SimResult simulateWaveSequence(const std::vector<WaveSpec> &waves,
                                const SimConfig &cfg);
 
 /**
- * Build the wave sequence for (layer, phase, mapping) from the same
- * sparsity profile the analytic model uses, then simulate every wave
- * (drain-overlapped when cfg.doubleBufferOutputs). Operand channels
- * follow classifyFlow(). Slots whose sparse-operand density is zero
- * (fully pruned slices/chunks) carry zero demand: they retire no
- * phantom MACs, drain no phantom psums, and are excluded from stall
+ * Build the wave sequence for (layer, phase, mapping) from a sparsity
+ * profile, then simulate every wave (drain-overlapped when
+ * cfg.doubleBufferOutputs). Waves and slot work are the analytic
+ * model's own (WaveTiler, ProfileSlotWork), so with operand delivery
+ * keeping up, the simulated compute cycles track
+ * CostModel::evaluatePhase's computeCycles for every mapping and
+ * phase; the gap is interconnect stalls, rounding of per-slot demand
+ * to whole MACs, and idle zero-density slots. Operand channels follow
+ * classifyFlow(). Slots whose sparse-operand density is zero (fully
+ * pruned slices/chunks) carry zero demand: they retire no phantom
+ * MACs, drain no phantom psums, and are excluded from stall
  * accounting. No DRAM refill: the profile path has no measured bytes.
  */
 SimResult simulateLayerPhase(const arch::LayerShape &layer,
@@ -298,25 +304,6 @@ SimResult simulateLayerPhase(const arch::LayerShape &layer,
                              const SimConfig &scfg,
                              arch::BalanceMode balance =
                                  arch::BalanceMode::HalfTile);
-
-/**
- * Trace-driven variant of simulateLayerPhase: identical wave geometry
- * (tiling, channels, RF chunking, half-tile balancing), but per-tile
- * work comes from the measured epoch facts — exact epoch-final mask
- * slice counts (SparsityMask::tileNnz / blockNnz via
- * arch::measuredSliceWork / measuredPairWork) for weight-sparse
- * phases, measured per-sample / per-channel / spatial activation
- * vectors for the weight-update phase — instead of the profile's
- * density scalars. When cfg.dramWordsPerCycle > 0 the phase is also
- * charged its DRAM->GLB refill from the layer's measured bytes.
- */
-SimResult simulateTraceLayerPhase(const arch::LayerTrace &layer,
-                                  arch::Phase phase,
-                                  arch::MappingKind mapping, int64_t batch,
-                                  const arch::ArrayConfig &acfg,
-                                  const SimConfig &scfg,
-                                  arch::BalanceMode balance =
-                                      arch::BalanceMode::HalfTile);
 
 /**
  * DRAM->GLB refill demand of one traced (layer, phase) in 32-bit
@@ -332,8 +319,8 @@ double traceRefillWords(const arch::LayerTrace &layer, arch::Phase phase,
 
 /**
  * SimConfig-independent wave geometry of one traced (layer, phase):
- * the exact WaveSpec sequence simulateTraceLayerPhase would clock,
- * plus the phase's DRAM refill word demand. Building this is the
+ * the WaveSpec sequence the trace replay clocks (WaveTiler waves,
+ * TraceSlotWork slot work), plus the phase's DRAM refill word demand. Building this is the
  * expensive part of a trace replay (mask slice queries, balancing);
  * it depends only on the epoch's measured facts, the mapping, the
  * array geometry, and the balance mode — never on SimConfig — so

@@ -1,6 +1,7 @@
 #include "sparse/gradual_pruning.h"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 
 #include "common/logging.h"
@@ -149,16 +150,19 @@ void
 GradualMagnitudePruningOptimizer::restoreState(ByteReader &r)
 {
     Optimizer::restoreState(r);
-    initialized_ = r.readU8() != 0;
+    initialized_ = r.readBool();
     prunableCount_ = r.readI64();
     aliveCount_ = r.readI64();
     densityIntegral_ = r.readF64();
-    pruneEvents_ = static_cast<int>(r.readI64());
+    const int64_t events = r.readI64();
+    if (events < INT_MIN || events > INT_MAX)
+        FATAL("checkpoint corrupt: prune event count out of range");
+    pruneEvents_ = static_cast<int>(events);
     const uint32_t count = r.readU32();
     masks_.clear();
-    masks_.reserve(count);
     for (uint32_t i = 0; i < count; ++i) {
         const uint64_t n = r.readU64();
+        r.requireFits(n, 1);
         std::vector<uint8_t> m(static_cast<size_t>(n));
         if (n)
             r.readBytes(m.data(), m.size());

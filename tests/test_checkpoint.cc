@@ -11,8 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -28,6 +33,7 @@
 #include "nn/sgd.h"
 #include "nn/trainer.h"
 #include "serve/checkpoint.h"
+#include "serve/training_job.h"
 #include "sparse/gradual_pruning.h"
 
 namespace procrustes {
@@ -99,6 +105,37 @@ TEST(Serialize, ReadPastEndIsFatal)
     ByteReader r(w.bytes());
     r.readU32();
     EXPECT_DEATH(r.readU64(), "truncated");
+}
+
+TEST(SerializeDeath, CorruptLengthsFailBeforeAllocating)
+{
+    // A flipped high byte in a stored length or extent. Pre-fix the
+    // reader sized its buffer from it before any bounds check, so the
+    // snapshot died in the allocator (uncaught std::length_error) or
+    // on the Shape assertion instead of with a checkpoint error.
+    const float v[2] = {1.0f, 2.0f};
+    ByteWriter fw;
+    fw.writeFloatArray(v, 2);
+    ByteWriter tw;
+    tw.writeTensor(Tensor(Shape{2, 3}));
+    {
+        auto bytes = fw.bytes();
+        bytes[7] ^= 0x40;   // length 2 -> 2 + 2^62
+        ByteReader r(bytes);
+        EXPECT_DEATH(r.readFloatArray(), "checkpoint truncated");
+    }
+    {
+        auto bytes = tw.bytes();
+        bytes[11] ^= 0x10;   // first extent 2 -> 2 + 2^60
+        ByteReader r(bytes);
+        EXPECT_DEATH(r.readTensor(), "checkpoint truncated");
+    }
+    {
+        auto bytes = tw.bytes();
+        bytes[11] ^= 0x80;   // first extent 2 -> negative
+        ByteReader r(bytes);
+        EXPECT_DEATH(r.readTensor(), "checkpoint corrupt");
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -454,6 +491,93 @@ TEST(CheckpointDeath, BadMagicVersionTruncationAndMismatch)
         sparse::GradualMagnitudePruningOptimizer o2(quickPruning());
         EXPECT_DEATH(serve::restoreTrainingState(blob, n2, o2),
                      "checkpoint/optimizer mismatch");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Mutation sweep over real job snapshots
+// ---------------------------------------------------------------------
+
+using JobFactory = std::function<std::unique_ptr<serve::TrainingJob>()>;
+
+/**
+ * Restore `mutant` into a fresh job, then exit. A corrupt snapshot
+ * FATALs (exit 1, "checkpoint ..." on stderr); an accepted one must
+ * re-serialize to exactly its own bytes (exit 0). A crash, an uncaught
+ * exception or a lossy restore dies any other way.
+ */
+[[noreturn]] void
+restoreAndExit(const JobFactory &make, const std::vector<uint8_t> &mutant)
+{
+    auto job = make();
+    job->restore(mutant);
+    if (job->checkpoint() != mutant)
+        std::abort();
+    std::fputs("checkpoint restored bitwise\n", stderr);
+    std::exit(0);
+}
+
+bool
+fatalOrRoundTrip(int status)
+{
+    return WIFEXITED(status) &&
+           (WEXITSTATUS(status) == 0 || WEXITSTATUS(status) == 1);
+}
+
+TEST(CheckpointDeath, MutationSweepFatalsOrRoundTripsBitwise)
+{
+    // Two jobs cover every snapshot section: conv + batch-norm layer
+    // state with momentum velocity, and pruning masks with the
+    // pruning schedule counters. Six steps in, both are mid-epoch
+    // with their optimizer state populated.
+    const Dataset images = tinyImages(3);
+    const Dataset spirals = tinySpirals(9);
+    serve::JobConfig jc;
+    jc.epochs = 4;
+    jc.batchSize = 8;
+    const std::vector<JobFactory> jobs = {
+        [&] {
+            return std::make_unique<serve::TrainingJob>(
+                jc, [](Network &n) { buildBnNet(n, 21); },
+                [] { return std::make_unique<nn::Sgd>(0.05f, 0.9f); },
+                &images, &images);
+        },
+        [&] {
+            return std::make_unique<serve::TrainingJob>(
+                jc, [](Network &n) { buildDenseMlp(n, 33); },
+                [] {
+                    return std::make_unique<
+                        sparse::GradualMagnitudePruningOptimizer>(
+                        quickPruning());
+                },
+                &spirals, &spirals);
+        },
+    };
+
+    Xorshift128Plus rng(0xC0FFEE);
+    for (const JobFactory &make : jobs) {
+        auto job = make();
+        for (int s = 0; s < 6; ++s)
+            job->step();
+        const std::vector<uint8_t> blob = job->checkpoint();
+
+        std::vector<std::vector<uint8_t>> mutants;
+        for (int i = 0; i < 24; ++i) {
+            auto m = blob;
+            m.resize(static_cast<size_t>(rng.nextBounded(blob.size())));
+            mutants.push_back(std::move(m));
+        }
+        for (int i = 0; i < 96; ++i) {
+            auto m = blob;
+            m[static_cast<size_t>(rng.nextBounded(blob.size()))] ^=
+                static_cast<uint8_t>(1 + rng.nextBounded(255));
+            mutants.push_back(std::move(m));
+        }
+        for (size_t i = 0; i < mutants.size(); ++i) {
+            EXPECT_EXIT(restoreAndExit(make, mutants[i]), fatalOrRoundTrip,
+                        "checkpoint")
+                << "mutant " << i;
+        }
     }
 }
 
