@@ -1,7 +1,6 @@
 #include "arch/accelerator.h"
 
 #include <algorithm>
-#include <initializer_list>
 
 #include "common/logging.h"
 
@@ -61,81 +60,32 @@ Accelerator::evaluateTrace(const WorkloadTrace &trace, size_t epoch_idx,
 {
     const EpochTrace &e = trace.epoch(epoch_idx);
     PROCRUSTES_ASSERT(e.batchSize > 0, "trace has no batch size");
-    const auto profiles = trace.profiles(epoch_idx);
-    const NetworkModel net = trace.networkModel(epoch_idx);
+    const auto profiles = measuredProfiles(e);
+    const NetworkModel net = measuredNetwork(e);
 
     NetworkCost cost;
     double analytic_ref = 0.0;
     for (size_t i = 0; i < net.layers.size(); ++i) {
-        const LayerTrace &l = e.layers[i];
-        // Measured executed-MAC counts stand in for the density
-        // estimate only where they describe what this machine would
-        // execute: a sparsity-exploiting accelerator on a layer whose
-        // counts came from the zero-skipping CSB executors (Conv2d
-        // and Linear under KernelBackend::kSparse). The dense
-        // baseline executes the full operation space, and layers
-        // trained on a dense backend report honest *dense* counts, so
-        // both keep the modelled estimate.
-        const bool use_measured =
-            model_.options().sparse && l.sparseExecuted;
-        // The weight image's measured byte counts apply regardless of
-        // which backend executed: they describe what *this machine*
-        // would store and stream for the run's real mask (dense
-        // backends still record a telemetry-only encode). The cost
-        // model picks the compressed or dense figure to match its own
-        // configuration.
-        MeasuredLayerStats fw, bw, wu;
-        if (l.csbWeightBytes > 0) {
-            fw.csbWeightBytes = static_cast<double>(l.csbWeightBytes);
-            bw.csbWeightBytes = fw.csbWeightBytes;
-            wu.csbWeightBytes = fw.csbWeightBytes;
-        }
-        if (l.denseWeightBytes > 0) {
-            fw.denseWeightBytes =
-                static_cast<double>(l.denseWeightBytes);
-            bw.denseWeightBytes = fw.denseWeightBytes;
-            wu.denseWeightBytes = fw.denseWeightBytes;
-        }
-        if (use_measured) {
-            fw.macs = l.fwMacsPerStep();
-            bw.macs = l.bwDataMacsPerStep();
-            wu.macs = l.bwWeightMacsPerStep();
-        }
-        // Gradient-exchange traffic (scale-out runs only): the trace
-        // sums wire bytes over the epoch, the model prices one step.
-        // A sparsity-exploiting machine ships the mask-live packed
-        // image; the dense baseline ships the dense twin.
-        if (l.steps > 0) {
-            const int64_t epoch_bytes =
-                model_.options().sparse ? l.exchangeCompressedBytes
-                                        : l.exchangeDenseBytes;
-            wu.exchangeBytes = static_cast<double>(epoch_bytes) /
-                               static_cast<double>(l.steps);
-        }
-        const PhaseCost pc_fw = model_.evaluatePhase(
-            net.layers[i], Phase::Forward, mapping_, profiles[i],
-            e.batchSize, fw);
-        const PhaseCost pc_bw = model_.evaluatePhase(
-            net.layers[i], Phase::Backward, mapping_, profiles[i],
-            e.batchSize, bw);
-        const PhaseCost pc_wu = model_.evaluatePhase(
-            net.layers[i], Phase::WeightUpdate, mapping_, profiles[i],
-            e.batchSize, wu);
-        cost.fw += pc_fw;
-        cost.bw += pc_bw;
-        cost.wu += pc_wu;
-        // Refill-aware analytic reference for the cycle-sim ratio:
-        // when the co-run SimConfig charges DRAM->GLB refill, bound
-        // each phase below by the same words at the same rate
-        // (overlap-aware, matching CostOptions::dramRefillWordsPerCycle
-        // semantics); with refill off this is exactly computeCycles.
-        for (const PhaseCost &pc : {pc_fw, pc_bw, pc_wu}) {
+        for (Phase phase :
+             {Phase::Forward, Phase::Backward, Phase::WeightUpdate}) {
+            const PhaseCost pc = model_.evaluatePhase(
+                net.layers[i], phase, mapping_, profiles[i], e.batchSize,
+                e.layers[i].measuredStats(phase, model_.options().sparse));
+            PhaseCost &bucket = phase == Phase::Forward    ? cost.fw
+                                : phase == Phase::Backward ? cost.bw
+                                                           : cost.wu;
+            bucket += pc;
+            // Refill-aware analytic reference for the cycle-sim ratio:
+            // when the co-run SimConfig charges DRAM->GLB refill, bound
+            // the phase below by the same words at the same rate
+            // (overlap-aware, matching
+            // CostOptions::dramRefillWordsPerCycle semantics); with
+            // refill off this is exactly computeCycles.
             double ref = pc.computeCycles;
             if (sim_cfg.dramWordsPerCycle > 0.0) {
                 const double dwords =
                     pc.dramCycles * model_.config().dramWordsPerCycle();
-                ref = std::max(ref,
-                               dwords / sim_cfg.dramWordsPerCycle);
+                ref = std::max(ref, dwords / sim_cfg.dramWordsPerCycle);
             }
             analytic_ref += ref;
         }

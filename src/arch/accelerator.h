@@ -84,18 +84,23 @@ class Accelerator
      * sparsity-exploiting configurations, and the measured dense
      * footprint feeds the dense baseline.
      *
+     * Every consumer below reads the epoch's one set of measured
+     * profiles (measuredProfiles: the real masks and measured
+     * activation densities, unclamped), so the model, the replay and
+     * the simulator charge identical slot work.
+     *
      * @param imbalance when non-null, receives the epoch's
      *        balanced/unbalanced load-imbalance histograms replayed
-     *        from the measured masks and activation densities
-     *        (arch/trace_imbalance.h) under this accelerator's mapping
-     *        and balancing policy, all three phases pooled.
+     *        from the measured profiles (arch/trace_imbalance.h) under
+     *        this accelerator's mapping and balancing policy, all
+     *        three phases pooled.
      * @param cycle_sim when non-null, the cycle-level PE-array
      *        simulator (sim/cycle_sim.h) co-runs the same epoch —
-     *        identical wave geometry, work from the same measured
-     *        masks and activation vectors — and its per-phase results
-     *        land here, with analyticCycleRatio set to simulated
-     *        cycles over this model's analytic compute latency (the
-     *        fidelity bound BENCH_cosim.json v4 records).
+     *        identical wave geometry and slot work — and its
+     *        per-phase results land here, with analyticCycleRatio set
+     *        to simulated cycles over this model's analytic compute
+     *        latency (BENCH_cosim.json v4 records it; see
+     *        TraceSimResult::analyticCycleRatio for what it holds).
      * @param sim_cfg interconnect / GLB / FIFO geometry for the
      *        cycle-level co-run (ignored when cycle_sim is null).
      */

@@ -54,7 +54,7 @@ CostModel::waveStats(const LayerShape &layer, Phase phase,
     std::vector<WaveStats> waves;
     waves.reserve(static_cast<size_t>(tiler.waveCount()));
     forEachWaveTiles(
-        tiler, ProfileSlotWork{profile}, tiler.perIndex(),
+        tiler, profile, tiler.perIndex(),
         [&](const std::vector<TileHalves> &tiles) {
             waves.push_back(WaveStats{
                 balancedMax(tiles, opts_.balance, tiler.halfTileOk()),

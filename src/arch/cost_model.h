@@ -207,6 +207,17 @@ class CostModel
                                      const LayerSparsityProfile &profile,
                                      int64_t batch) const;
 
+    /**
+     * DRAM words (32-bit) moved for the whole phase: the weight image
+     * (measured when `measured` supplies it), the activations in and
+     * out, and on a sparse machine the compressed input copy kept for
+     * the weight update. The cycle simulator's DRAM->GLB refill front
+     * end charges exactly these words.
+     */
+    double dramWords(const LayerShape &layer, Phase phase,
+                     const LayerSparsityProfile &profile, int64_t batch,
+                     const MeasuredLayerStats &measured) const;
+
     const ArrayConfig &config() const { return cfg_; }
     const CostOptions &options() const { return opts_; }
 
@@ -227,11 +238,6 @@ class CostModel
                        const LayerSparsityProfile &profile,
                        int64_t batch,
                        const MeasuredLayerStats &measured) const;
-
-    /** DRAM words moved for the whole phase. */
-    double dramWords(const LayerShape &layer, Phase phase,
-                     const LayerSparsityProfile &profile, int64_t batch,
-                     const MeasuredLayerStats &measured) const;
 
     /** Stored (GLB/DRAM) word count of an operand in this phase. */
     double storedWords(const LayerShape &layer, Phase phase, Operand op,

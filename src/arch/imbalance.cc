@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
-
 namespace procrustes {
 namespace arch {
 
@@ -25,18 +23,13 @@ collectOverheads(const NetworkModel &model,
                  Phase phase, MappingKind mapping, int64_t batch,
                  const ArrayConfig &cfg, BalanceMode balance)
 {
-    PROCRUSTES_ASSERT(profiles.size() == model.layers.size(),
-                      "profile count mismatch");
     std::vector<double> overheads;
-    for (size_t i = 0; i < model.layers.size(); ++i) {
-        const WaveTiler tiler(cfg, model.layers[i], phase, mapping, batch);
-        forEachWaveTiles(tiler, ProfileSlotWork{profiles[i]},
-                         tiler.perIndex(),
-                         [&](const std::vector<TileHalves> &tiles) {
-                             overheads.push_back(waveOverhead(
-                                 tiles, balance, tiler.halfTileOk()));
-                         });
-    }
+    forEachNetworkWave(model, profiles, phase, mapping, batch, cfg,
+                       [&](const std::vector<TileHalves> &tiles,
+                           bool half_tile_ok) {
+                           overheads.push_back(
+                               waveOverhead(tiles, balance, half_tile_ok));
+                       });
     return overheads;
 }
 

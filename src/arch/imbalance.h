@@ -10,12 +10,12 @@
  * under the minibatch-spatial dataflow.
  *
  * One engine produces every histogram: the waves of the wave tiler
- * (arch/wave_tiler.h), each working set's overhead from waveOverhead.
- * Only the slot-work oracle depends on the data source.
- * collectOverheads reads LayerSparsityProfiles (ProfileSlotWork);
- * collectMeasuredOverheads and measuredEpochImbalance
- * (arch/trace_imbalance.h) read a recorded WorkloadTrace epoch
- * (TraceSlotWork).
+ * (arch/wave_tiler.h), slot work from the layers'
+ * LayerSparsityProfiles in the cost model's unit, each working set's
+ * overhead from waveOverhead. collectOverheads replays synthetic
+ * profiles; collectMeasuredOverheads and measuredEpochImbalance
+ * (arch/trace_imbalance.h) replay the measured profiles of a recorded
+ * WorkloadTrace epoch through the same loop (forEachNetworkWave).
  */
 
 #ifndef PROCRUSTES_ARCH_IMBALANCE_H_
@@ -25,6 +25,7 @@
 
 #include "arch/cost_model.h"
 #include "arch/model_zoo.h"
+#include "common/logging.h"
 
 namespace procrustes {
 namespace arch {
@@ -42,11 +43,35 @@ struct ImbalanceHistogram
 };
 
 /**
+ * Call `fn(tiles, half_tile_ok)` with the half-split tiles of every
+ * wave of every layer of a network in one phase, in issue order: the
+ * profiles' slot densities times the dense MACs per index, the unit of
+ * CostModel::waveStats. `half_tile_ok` is the layer's cheap-balancing
+ * gate (WaveTiler::halfTileOk).
+ */
+template <typename Fn>
+void
+forEachNetworkWave(const NetworkModel &model,
+                   const std::vector<LayerSparsityProfile> &profiles,
+                   Phase phase, MappingKind mapping, int64_t batch,
+                   const ArrayConfig &cfg, Fn &&fn)
+{
+    PROCRUSTES_ASSERT(profiles.size() == model.layers.size(),
+                      "profile count mismatch");
+    for (size_t i = 0; i < model.layers.size(); ++i) {
+        const WaveTiler tiler(cfg, model.layers[i], phase, mapping, batch);
+        forEachWaveTiles(tiler, profiles[i], tiler.perIndex(),
+                         [&](const std::vector<TileHalves> &tiles) {
+                             fn(tiles, tiler.halfTileOk());
+                         });
+    }
+}
+
+/**
  * Collect per-wave overheads for every layer of a network in one phase
  * under one mapping/balancing configuration. Waves whose workload is
- * uniform by construction report zero overhead. Tile work comes from
- * the profiles (ProfileSlotWork) in the cost model's unit, so each
- * overhead is exactly that of CostModel::waveStats.
+ * uniform by construction report zero overhead. Each overhead is
+ * exactly that of CostModel::waveStats.
  */
 std::vector<double>
 collectOverheads(const NetworkModel &model,

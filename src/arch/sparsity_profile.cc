@@ -13,15 +13,19 @@ namespace arch {
 LayerSparsityProfile::LayerSparsityProfile(
     const sparse::SparsityMask &mask, double iact_density,
     double iact_sigma, uint64_t seed)
-    : iactDensity_(iact_density),
-      iactSigma_(iact_sigma),
-      seed_(seed),
-      maskK_(mask.K),
-      maskC_(mask.C),
-      kernelElems_(mask.R * mask.S)
+    : iactDensity_(iact_density), iactSigma_(iact_sigma), seed_(seed)
 {
     PROCRUSTES_ASSERT(iact_density > 0.0 && iact_density <= 1.0,
                       "iact density out of range");
+    summariseMask(mask);
+}
+
+void
+LayerSparsityProfile::summariseMask(const sparse::SparsityMask &mask)
+{
+    maskK_ = mask.K;
+    maskC_ = mask.C;
+    kernelElems_ = mask.R * mask.S;
     kernelNnz_.resize(static_cast<size_t>(maskK_ * maskC_));
     kNnz_.assign(static_cast<size_t>(maskK_), 0);
     kHalfNnz_.assign(static_cast<size_t>(maskK_) * 2, 0);
@@ -55,11 +59,13 @@ LayerSparsityProfile::measured(const sparse::SparsityMask &mask,
                                const MeasuredIactStats &iacts,
                                int64_t stride)
 {
-    // Measured densities can legitimately be tiny (a dead layer) or
-    // exactly 1.0; clamp into the range the model arithmetic accepts
-    // rather than asserting like the synthetic constructors do.
-    LayerSparsityProfile p(mask, clampd(iacts.mean, 0.01, 1.0),
-                           /*iact_sigma=*/0.0);
+    // Measured densities are kept exactly as recorded: a dead channel
+    // or sample (or a whole dead layer, mean 0) is zero work, not a
+    // floor. So no clamp here, and no trip through the constructor,
+    // which asserts a positive mean.
+    LayerSparsityProfile p;
+    p.summariseMask(mask);
+    p.iactDensity_ = iacts.mean;
     p.measured_ = true;
     p.measSample_ = iacts.perSample;
     p.measSampleHalf_ = iacts.perSampleHalf;
@@ -67,18 +73,6 @@ LayerSparsityProfile::measured(const sparse::SparsityMask &mask,
     p.measRow_ = iacts.perRow;
     p.measCol_ = iacts.perCol;
     p.measStride_ = stride > 0 ? stride : 1;
-    for (double &d : p.measSample_)
-        d = clampd(d, 0.01, 1.0);
-    // A half may carry nearly all of its sample's non-zeros, so its
-    // ceiling is the full sample density, not 0.5.
-    for (double &d : p.measSampleHalf_)
-        d = clampd(d, 0.005, 1.0);
-    for (double &d : p.measChannel_)
-        d = clampd(d, 0.01, 1.0);
-    for (double &d : p.measRow_)
-        d = clampd(d, 0.01, 1.0);
-    for (double &d : p.measCol_)
-        d = clampd(d, 0.01, 1.0);
     return p;
 }
 
@@ -178,10 +172,10 @@ LayerSparsityProfile::jitter(uint64_t a, uint64_t b) const
 double
 LayerSparsityProfile::iactSampleDensity(int64_t n) const
 {
-    if (measured_ && !measSample_.empty()) {
+    if (measured_) {
         // Wrap: a profile measured at batch B still answers queries at
         // other batch sizes with a representative measured sample.
-        return measSample_[static_cast<size_t>(n) % measSample_.size()];
+        return wrapped(measSample_, n);
     }
     return clampd(iactDensity_ *
                       (1.0 + iactSigma_ *
@@ -192,15 +186,12 @@ LayerSparsityProfile::iactSampleDensity(int64_t n) const
 double
 LayerSparsityProfile::iactSampleHalfDensity(int64_t n, int h) const
 {
-    if (measured_ && !measSampleHalf_.empty()) {
-        const size_t idx =
-            (static_cast<size_t>(n) % (measSampleHalf_.size() / 2)) * 2 +
-            static_cast<size_t>(h);
-        return measSampleHalf_[idx];
-    }
     const double base = iactSampleDensity(n) / 2.0;
-    if (measured_)
-        return base;   // measured mean, no synthetic half-asymmetry
+    if (measured_) {
+        // Without a measured split, halve the sample evenly.
+        return measSampleHalf_.empty() ? base
+                                       : wrapped(measSampleHalf_, n * 2 + h);
+    }
     return clampd(base * (1.0 + iactSigma_ *
                                     jitter(static_cast<uint64_t>(n),
                                            2 + static_cast<uint64_t>(h))),
@@ -210,8 +201,8 @@ LayerSparsityProfile::iactSampleHalfDensity(int64_t n, int h) const
 double
 LayerSparsityProfile::iactChannelDensity(int64_t c) const
 {
-    if (measured_ && !measChannel_.empty())
-        return measChannel_[static_cast<size_t>(c) % measChannel_.size()];
+    if (measured_)
+        return wrapped(measChannel_, c);
     return clampd(iactDensity_ *
                       (1.0 + iactSigma_ *
                                  jitter(static_cast<uint64_t>(c), 11)),
@@ -238,25 +229,41 @@ LayerSparsityProfile::iactSpatialDensity(int64_t p, int64_t q) const
         // trace carried them (rank-4 layers): ratio-combine the row
         // and column densities of the input location feeding output
         // (p, q), so the mean stays near the layer mean.
-        if (!measRow_.empty() && !measCol_.empty()) {
-            const auto at = [this](const std::vector<double> &m,
-                                   int64_t idx) {
-                const int64_t last =
-                    static_cast<int64_t>(m.size()) - 1;
-                return m[static_cast<size_t>(
-                    std::min(idx * measStride_, last))];
-            };
-            const double combined = at(measRow_, p) * at(measCol_, q) /
-                                    std::max(iactDensity_, 1e-9);
-            return clampd(combined, 0.02, 1.0);
-        }
-        return clampd(iactDensity_, 0.02, 1.0);
+        if (measRow_.empty() || measCol_.empty())
+            return iactDensity_;
+        const auto at = [this](const std::vector<double> &m, int64_t idx) {
+            const int64_t last = static_cast<int64_t>(m.size()) - 1;
+            return m[static_cast<size_t>(std::min(idx * measStride_, last))];
+        };
+        return clampd(at(measRow_, p) * at(measCol_, q) /
+                          std::max(iactDensity_, 1e-9),
+                      0.0, 1.0);
     }
     return clampd(iactDensity_ *
                       (1.0 + iactSigma_ *
                                  jitter(static_cast<uint64_t>(p) * 131,
                                         static_cast<uint64_t>(q) + 29)),
                   0.02, 1.0);
+}
+
+double
+LayerSparsityProfile::iactSampleChannelDensity(int64_t n, int64_t c) const
+{
+    // Ratio-combine the two marginals so the mean stays near the
+    // layer's mean activation density.
+    const double combined = iactChannelDensity(c) * iactSampleDensity(n) /
+                            std::max(iactDensity_, 1e-9);
+    return measured_ ? clampd(combined, 0.0, 1.0)
+                     : clampd(combined, 0.01, 1.0);
+}
+
+double
+LayerSparsityProfile::wrapped(const std::vector<double> &v,
+                              int64_t idx) const
+{
+    // Ragged epochs drop the per-slot vectors: fall back to the mean.
+    return v.empty() ? iactDensity_
+                     : v[static_cast<size_t>(idx) % v.size()];
 }
 
 } // namespace arch

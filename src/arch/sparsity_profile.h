@@ -1,6 +1,7 @@
 /**
  * @file
- * Per-layer sparsity description consumed by the cost model.
+ * Per-layer sparsity description: the one slot-work oracle the cost
+ * model, the imbalance replay and the cycle simulator all read.
  *
  * The latency model needs more than a global density: load imbalance is
  * driven by how non-zeros distribute across work tiles (Figure 5), so
@@ -8,13 +9,19 @@
  * and derives slice densities along any spatialized dimension,
  * including the half-tile splits the load balancer pairs up.
  *
- * Activation sparsity (exploited in the weight-update phase) has no
- * stored mask; per-sample / per-spatial variation is modelled with
- * deterministic hash-derived jitter around the layer's mean density —
- * unless the profile was built through measured(), in which case the
- * per-sample / per-sample-half / per-channel densities come from a
- * real training step (the workload-trace pipeline) and the jitter is
- * disabled entirely.
+ * Activation sparsity (exploited in the weight-update phase) comes in
+ * two modes, and every difference between them lives in this class:
+ *
+ *  Synthetic  (the constructors) per-sample / per-channel / spatial
+ *             variation is deterministic hash-derived jitter around
+ *             the layer's mean density, clamped into the range the
+ *             paper's workloads span (>= 0.02, halves >= 0.01).
+ *  Measured   (measured()) the per-sample, per-sample-half,
+ *             per-channel and spatial densities of a real training
+ *             epoch (the workload-trace pipeline), answered exactly:
+ *             no jitter and no floor, so a dead ReLU channel or sample
+ *             is zero work. Only the ratio-combines of two marginals
+ *             are clamped, to [0, 1].
  */
 
 #ifndef PROCRUSTES_ARCH_SPARSITY_PROFILE_H_
@@ -75,9 +82,10 @@ class LayerSparsityProfile
 
     /**
      * Trace-driven profile: a real weight mask plus *measured*
-     * activation densities. No synthetic jitter — every per-sample /
-     * per-channel / spatial query answers from the measurements (or
-     * the measured mean where no finer-grained data exists).
+     * activation densities, kept unclamped (a mean of 0 is allowed).
+     * No synthetic jitter — every per-sample / per-channel / spatial
+     * query answers from the measurements (or the measured mean where
+     * no finer-grained data exists).
      * @param stride layer stride, used to map output locations onto
      *        the input-space spatial marginals.
      */
@@ -112,7 +120,7 @@ class LayerSparsityProfile
     /** Density of kernel (k, c). */
     double kernelDensity(int64_t k, int64_t c) const;
 
-    /** Input-activation density of sample n (deterministic jitter). */
+    /** Input-activation density of sample n. */
     double iactSampleDensity(int64_t n) const;
 
     /** Half-split (along C) of sample n's activation density. */
@@ -133,6 +141,14 @@ class LayerSparsityProfile
     /** Input-activation density at output location (p, q). */
     double iactSpatialDensity(int64_t p, int64_t q) const;
 
+    /**
+     * Input-activation density of (sample n, channel c), the cell a PE
+     * holds when iacts are sparse along both C and N: the two
+     * marginals ratio-combined, channel x sample / mean. Clamped to
+     * [0, 1] when measured, to [0.01, 1] when synthetic.
+     */
+    double iactSampleChannelDensity(int64_t n, int64_t c) const;
+
     /** Mask geometry (K extent). */
     int64_t maskK() const { return maskK_; }
 
@@ -140,7 +156,13 @@ class LayerSparsityProfile
     int64_t maskC() const { return maskC_; }
 
   private:
+    /** Per-kernel / per-slice non-zero counts and weightDensity_. */
+    void summariseMask(const sparse::SparsityMask &mask);
+
     double jitter(uint64_t a, uint64_t b) const;
+
+    /** Measured vector entry, index wrapped; the mean when empty. */
+    double wrapped(const std::vector<double> &v, int64_t idx) const;
 
     double weightDensity_ = 1.0;
     double iactDensity_ = 1.0;

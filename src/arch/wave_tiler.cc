@@ -119,11 +119,11 @@ ProfileSlotWork::pair(Operand sp, Dim d0, int64_t i0, Dim d1,
         const int64_t q = d0 == Dim::P ? i1 : i0;
         return profile.iactSpatialDensity(p, q);
     }
-    // C,N pairing: ratio-combine the marginal densities so the mean
-    // stays near the layer's mean activation density.
-    return clampd(slice(sp, d0, i0) * slice(sp, d1, i1) /
-                      std::max(profile.iactDensity(), 1e-9),
-                  0.01, 1.0);
+    if (d0 == Dim::C && d1 == Dim::N)
+        return profile.iactSampleChannelDensity(i1, i0);
+    if (d0 == Dim::N && d1 == Dim::C)
+        return profile.iactSampleChannelDensity(i0, i1);
+    PANIC("iacts paired along an unsupported dim pair");
 }
 
 } // namespace arch

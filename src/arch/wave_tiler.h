@@ -5,21 +5,19 @@
  * slot of a wave carries (Figure 4).
  *
  * The analytic cost model (CostModel::waveStats / computeLatency), the
- * imbalance replay (collectOverheads, collectMeasuredOverheads,
- * measuredEpochImbalance) and the cycle simulator's wave builder all
- * walk a WaveTiler, so they cannot tile differently. What a slot's work
- * *is* comes from one of two slot-work oracles with the same interface:
+ * imbalance replay (collectOverheads, measuredEpochImbalance) and the
+ * cycle simulator's wave builder all walk a WaveTiler, so they cannot
+ * tile differently. What a slot's work *is* comes from one place, a
+ * LayerSparsityProfile, read through ProfileSlotWork (below) in
+ * densities. Synthetic profiles and the measured profiles of a traced
+ * epoch (LayerSparsityProfile::measured) answer through the same
+ * interface, so a trace replay sees exactly the work the cost model
+ * charges.
  *
- *  - ProfileSlotWork (below) answers from a LayerSparsityProfile, in
- *    densities;
- *  - TraceSlotWork (arch/trace_imbalance.h) answers from a measured
- *    LayerTrace: exact live-weight counts of the epoch-final mask and
- *    measured activation densities.
- *
- * Each consumer keeps its own per-slot arithmetic and unit: the cost
- * model scales densities by the dense MACs per index, the replay takes
- * oracle units as they are (overheads are ratios), and the simulator
- * converts densities into MAC and word demand.
+ * Each consumer keeps its own per-slot arithmetic: the cost model and
+ * the replay scale densities by the dense MACs per index (overheads are
+ * ratios), and the simulator converts densities into MAC and word
+ * demand.
  *
  * Slot shapes, by how many spatial dims the phase's sparse operand
  * depends on:
@@ -155,10 +153,10 @@ class WaveTiler
 };
 
 /**
- * Profile slot-work oracle: the sparse operand's work per slot as
- * densities of a LayerSparsityProfile. Weights answer from the mask's
- * per-kernel structure; activations from the profile's per-sample,
- * per-channel and spatial densities (measured or jittered).
+ * The slot-work oracle: the sparse operand's work per slot as densities
+ * of a LayerSparsityProfile. Weights answer from the mask's per-kernel
+ * structure; activations from the profile's per-sample, per-channel
+ * and spatial densities (measured or jittered).
  */
 struct ProfileSlotWork
 {
@@ -175,25 +173,22 @@ struct ProfileSlotWork
 
     /** Density of the cell (i0 along d0, i1 along d1). */
     double pair(Operand sp, Dim d0, int64_t i0, Dim d1, int64_t i1) const;
-
-    /** Dense positions per unit of slice / pair work (densities: 1). */
-    double sliceUnit(Operand, Dim) const { return 1.0; }
-    double pairUnit(Operand) const { return 1.0; }
 };
 
 /**
  * Call `fn(const std::vector<TileHalves> &)` with the half-split slot
- * work of every wave, in issue order, in oracle units times `scale`.
+ * work of every wave, in issue order: profile densities times `scale`.
  * A Uniform wave is one tile; a Slice wave one tile per slice (the
  * half-tile balancer's input); a Pair wave one tile per PE, holding the
  * summed work of its chunk split evenly (no half is ever paired on two
  * sparse axes).
  */
-template <typename Oracle, typename Fn>
+template <typename Fn>
 void
-forEachWaveTiles(const WaveTiler &tiler, const Oracle &oracle,
+forEachWaveTiles(const WaveTiler &tiler, const LayerSparsityProfile &profile,
                  double scale, Fn &&fn)
 {
+    const ProfileSlotWork oracle{profile};
     const Operand sp = tiler.sparse();
     const auto &dims = tiler.dims();
     std::vector<TileHalves> tiles;

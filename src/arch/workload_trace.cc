@@ -1,6 +1,7 @@
 #include "arch/workload_trace.h"
 
 #include "common/logging.h"
+#include "common/thread_pool.h"
 
 namespace procrustes {
 namespace arch {
@@ -58,6 +59,30 @@ LayerTrace::bwWeightMacsPerStep() const
     return steps ? static_cast<double>(bwWeightMacs) /
                        static_cast<double>(steps)
                  : 0.0;
+}
+
+MeasuredLayerStats
+LayerTrace::measuredStats(Phase phase, bool sparse) const
+{
+    MeasuredLayerStats m;
+    if (csbWeightBytes > 0)
+        m.csbWeightBytes = static_cast<double>(csbWeightBytes);
+    if (denseWeightBytes > 0)
+        m.denseWeightBytes = static_cast<double>(denseWeightBytes);
+    if (sparse && sparseExecuted) {
+        m.macs = phase == Phase::Forward    ? fwMacsPerStep()
+                 : phase == Phase::Backward ? bwDataMacsPerStep()
+                                            : bwWeightMacsPerStep();
+    }
+    // The trace sums exchange bytes over the epoch; the model prices
+    // one step.
+    if (phase == Phase::WeightUpdate && steps > 0) {
+        const int64_t epoch_bytes =
+            sparse ? exchangeCompressedBytes : exchangeDenseBytes;
+        m.exchangeBytes = static_cast<double>(epoch_bytes) /
+                          static_cast<double>(steps);
+    }
+    return m;
 }
 
 double
@@ -242,13 +267,12 @@ WorkloadTrace::lastEpoch() const
 }
 
 NetworkModel
-WorkloadTrace::networkModel(size_t epoch_idx) const
+measuredNetwork(const EpochTrace &epoch)
 {
-    const EpochTrace &e = epoch(epoch_idx);
     NetworkModel m;
     m.name = "measured";
     m.dataset = "trace";
-    for (const LayerTrace &l : e.layers) {
+    for (const LayerTrace &l : epoch.layers) {
         m.layers.push_back(l.shape);
         m.iactDensity.push_back(l.iacts.mean);
     }
@@ -256,15 +280,32 @@ WorkloadTrace::networkModel(size_t epoch_idx) const
 }
 
 std::vector<LayerSparsityProfile>
+measuredProfiles(const EpochTrace &epoch)
+{
+    // Summarising the masks is the costly part; layers are independent.
+    std::vector<LayerSparsityProfile> out(epoch.layers.size());
+    ThreadPool::global().parallelFor(
+        0, static_cast<int64_t>(out.size()),
+        [&](int64_t begin, int64_t end) {
+            for (int64_t i = begin; i < end; ++i) {
+                const LayerTrace &l = epoch.layers[static_cast<size_t>(i)];
+                out[static_cast<size_t>(i)] = LayerSparsityProfile::measured(
+                    l.mask, l.iacts, l.shape.stride);
+            }
+        });
+    return out;
+}
+
+NetworkModel
+WorkloadTrace::networkModel(size_t epoch_idx) const
+{
+    return measuredNetwork(epoch(epoch_idx));
+}
+
+std::vector<LayerSparsityProfile>
 WorkloadTrace::profiles(size_t epoch_idx) const
 {
-    const EpochTrace &e = epoch(epoch_idx);
-    std::vector<LayerSparsityProfile> out;
-    out.reserve(e.layers.size());
-    for (const LayerTrace &l : e.layers)
-        out.push_back(LayerSparsityProfile::measured(l.mask, l.iacts,
-                                                     l.shape.stride));
-    return out;
+    return measuredProfiles(epoch(epoch_idx));
 }
 
 } // namespace arch

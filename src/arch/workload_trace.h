@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "arch/cost_model.h"
 #include "arch/model_zoo.h"
 #include "arch/sparsity_profile.h"
 #include "nn/trainer.h"
@@ -84,6 +85,23 @@ struct LayerTrace
     double fwMacsPerStep() const;
     double bwDataMacsPerStep() const;
     double bwWeightMacsPerStep() const;
+
+    /**
+     * The measured facts the cost model consumes for one phase on a
+     * machine that does (`sparse`) or does not exploit sparsity:
+     *
+     *  - the epoch-final weight image's compressed and dense byte
+     *    counts, whichever backend executed (the cost model picks the
+     *    one its configuration streams);
+     *  - executed MACs per step only for a sparse machine on a layer
+     *    the zero-skipping CSB executors ran (sparseExecuted): the
+     *    dense baseline executes the full operation space, and a
+     *    dense backend's counts are dense;
+     *  - in the weight update, the per-step gradient-exchange wire
+     *    bytes (scale-out runs): the mask-live packed image for a
+     *    sparse machine, the dense twin otherwise.
+     */
+    MeasuredLayerStats measuredStats(Phase phase, bool sparse) const;
 };
 
 /** One epoch of the measured workload. */
@@ -119,6 +137,20 @@ struct EpochTrace
 };
 
 /**
+ * The measured network of one epoch as a cost-model NetworkModel: layer
+ * shapes from the run's real geometry, iactDensity from measurement.
+ */
+NetworkModel measuredNetwork(const EpochTrace &epoch);
+
+/**
+ * The trace-driven profiles of one epoch, one per layer: real masks +
+ * measured activation statistics, unclamped and without synthetic
+ * jitter (LayerSparsityProfile::measured). The cost model, the
+ * imbalance replay and the cycle simulator all read these.
+ */
+std::vector<LayerSparsityProfile> measuredProfiles(const EpochTrace &epoch);
+
+/**
  * Aggregates nn::StepTelemetry into per-epoch measured workloads and
  * converts them into cost-model inputs.
  */
@@ -144,17 +176,10 @@ class WorkloadTrace
     /** Most recent epoch. */
     const EpochTrace &lastEpoch() const;
 
-    /**
-     * The measured network as a cost-model NetworkModel: layer shapes
-     * from the run's real geometry, iactDensity from measurement.
-     */
+    /** measuredNetwork of epoch i. */
     NetworkModel networkModel(size_t epoch_idx) const;
 
-    /**
-     * Trace-driven profiles for epoch i: real masks + measured
-     * activation statistics, no synthetic jitter
-     * (LayerSparsityProfile::measured).
-     */
+    /** measuredProfiles of epoch i. */
     std::vector<LayerSparsityProfile> profiles(size_t epoch_idx) const;
 
   private:

@@ -7,12 +7,10 @@
 #include "common/math_utils.h"
 #include "common/thread_pool.h"
 #include "arch/load_balancer.h"
-#include "arch/trace_imbalance.h"
 
 namespace procrustes {
 namespace sim {
 
-using arch::Dim;
 using arch::FlowClass;
 using arch::LayerShape;
 using arch::LayerSparsityProfile;
@@ -510,21 +508,21 @@ simulatePhasePiece(const std::vector<WaveSpec> &waves, double refill_words,
  * Build the wave sequence for (layer, phase, mapping): the wave
  * tiler's waves (arch/wave_tiler.h — the analytic model's exact
  * tiling), optional half-tile balancing along the sparse axis, and
- * per-slot densities from the slot-work oracle (ProfileSlotWork or
- * TraceSlotWork, work divided by its unit). Slots with zero density
- * are idle: zero demand, no phantom MAC or psum word, excluded from
- * stalls. Waves whose every slot is idle are dropped (they would
- * simulate to zero cycles). Geometry depends only on the oracle's
- * facts, the mapping, the array config, and the balance mode — never
- * on SimConfig — which is what lets sweep drivers build once and
- * re-clock per configuration.
+ * per-slot densities from the profile (ProfileSlotWork, the cost
+ * model's own slot-work oracle). Slots with zero density are idle:
+ * zero demand, no phantom MAC or psum word, excluded from stalls.
+ * Waves whose every slot is idle are dropped (they would simulate to
+ * zero cycles). Geometry depends only on the profile, the mapping, the
+ * array config, and the balance mode — never on SimConfig — which is
+ * what lets sweep drivers build once and re-clock per configuration.
  */
-template <typename Oracle>
 std::vector<WaveSpec>
 buildWaves(const LayerShape &layer, Phase phase, MappingKind mapping,
            int64_t batch, const arch::ArrayConfig &acfg,
-           arch::BalanceMode balance, const Oracle &oracle)
+           arch::BalanceMode balance,
+           const LayerSparsityProfile &profile)
 {
+    const arch::ProfileSlotWork oracle{profile};
     const arch::WaveTiler tiler(acfg, layer, phase, mapping, batch);
     const auto &dims = tiler.dims();
     const double per_index = tiler.perIndex();
@@ -577,14 +575,10 @@ buildWaves(const LayerShape &layer, Phase phase, MappingKind mapping,
         // Optional half-tile balancing along the sparse axis.
         std::vector<double> balanced;
         if (rebalance) {
-            const double unit = oracle.sliceUnit(sp, tiler.sliceDim());
             std::vector<TileHalves> tiles;
             for (int64_t s = 0; s < tiler.sliceCount(w); ++s) {
-                TileHalves h = oracle.halves(sp, tiler.sliceDim(),
-                                             tiler.sliceIndex(w, s));
-                h.first /= unit;
-                h.second /= unit;
-                tiles.push_back(h);
+                tiles.push_back(oracle.halves(sp, tiler.sliceDim(),
+                                              tiler.sliceIndex(w, s)));
             }
             balanced = arch::rebalanceHalfTiles(tiles);
         }
@@ -602,16 +596,13 @@ buildWaves(const LayerShape &layer, Phase phase, MappingKind mapping,
                 } else if (rebalance) {
                     dens_sum = balanced[static_cast<size_t>(slot)];
                 } else if (shape == arch::SlotShape::Slice) {
-                    dens_sum =
-                        oracle.slice(sp, tiler.sliceDim(),
-                                     tiler.sliceIndex(w, slot)) /
-                        oracle.sliceUnit(sp, tiler.sliceDim());
+                    dens_sum = oracle.slice(sp, tiler.sliceDim(),
+                                            tiler.sliceIndex(w, slot));
                 } else {
                     for (int64_t t = 0; t < count; ++t) {
                         dens_sum +=
                             oracle.pair(sp, dims[0], w.b0 + i, dims[1],
-                                        tiler.chunkBase(w, j) + t) /
-                            oracle.pairUnit(sp);
+                                        tiler.chunkBase(w, j) + t);
                     }
                 }
                 // A zero-density slot is a fully pruned slice or
@@ -657,43 +648,8 @@ simulateLayerPhase(const LayerShape &layer, Phase phase,
 {
     validateSimConfig(scfg);
     return simulateWaveSequence(
-        buildWaves(layer, phase, mapping, batch, acfg, balance,
-                   arch::ProfileSlotWork{profile}),
+        buildWaves(layer, phase, mapping, batch, acfg, balance, profile),
         scfg);
-}
-
-double
-traceRefillWords(const LayerTrace &layer, Phase phase, int64_t batch)
-{
-    // Mirror of CostModel::dramWords for the sparse machine: the
-    // measured compressed weight image plus dense/compressed
-    // activation volumes at the measured input density. 32-bit words.
-    const LayerShape &shape = layer.shape;
-    const double w_dense = static_cast<double>(
-        arch::operandVolume(shape, Operand::Weights, batch));
-    const double x_dense = static_cast<double>(
-        arch::operandVolume(shape, Operand::Iacts, batch));
-    const double y_dense = static_cast<double>(
-        arch::operandVolume(shape, Operand::Oacts, batch));
-
-    const double mask_over = 1.0 / 32.0;
-    const double w_stored =
-        layer.csbWeightBytes > 0
-            ? static_cast<double>(layer.csbWeightBytes) / 4.0
-            : w_dense * layer.weightDensity() + w_dense * mask_over;
-    const double x_comp = x_dense * layer.iacts.mean + x_dense * mask_over;
-
-    switch (phase) {
-      case Phase::Forward:
-        // Weights + dense inputs in; dense outputs plus the compressed
-        // input copy kept for the weight-update phase out.
-        return w_stored + x_dense + y_dense + x_comp;
-      case Phase::Backward:
-        return w_stored + y_dense + x_dense;
-      case Phase::WeightUpdate:
-        return x_comp + y_dense + w_stored;
-    }
-    PANIC("unknown phase");
 }
 
 EpochWavePlan
@@ -717,6 +673,13 @@ buildEpochWavePlan(const arch::EpochTrace &epoch, MappingKind mapping,
         plan.order.push_back({l, Phase::WeightUpdate, {}, 0.0});
     }
 
+    // Slot work comes from the epoch's measured profiles, the ones
+    // Accelerator::evaluateTrace costs; refill words are the sparse
+    // machine's DRAM words in the cost model's own accounting.
+    const std::vector<LayerSparsityProfile> profiles =
+        arch::measuredProfiles(epoch);
+    const arch::CostModel sparse_model(acfg, arch::CostOptions{});
+
     // Each entry's geometry is a pure function of the epoch's measured
     // facts — build them in parallel; indices fix the order.
     ThreadPool::global().parallelFor(
@@ -725,11 +688,14 @@ buildEpochWavePlan(const arch::EpochTrace &epoch, MappingKind mapping,
             for (int64_t i = begin; i < end; ++i) {
                 PhaseWavePlan &e = plan.order[static_cast<size_t>(i)];
                 const LayerTrace &layer = epoch.layers[e.layerIndex];
+                const LayerSparsityProfile &profile =
+                    profiles[e.layerIndex];
                 e.waves = buildWaves(layer.shape, e.phase, mapping,
                                      epoch.batchSize, acfg, balance,
-                                     arch::TraceSlotWork{layer});
-                e.refillWords =
-                    traceRefillWords(layer, e.phase, epoch.batchSize);
+                                     profile);
+                e.refillWords = sparse_model.dramWords(
+                    layer.shape, e.phase, profile, epoch.batchSize,
+                    layer.measuredStats(e.phase, /*sparse=*/true));
             }
         });
     return plan;

@@ -54,13 +54,14 @@
  *
  *  DRAM->GLB refill (`SimConfig::dramWordsPerCycle`).  When positive,
  *  a refill front end charges the cycles needed to stream each traced
- *  (layer, phase)'s working set from DRAM into the GLB at this rate —
- *  from the *measured* byte counts (compressed weight image
- *  `LayerTrace::csbWeightBytes`, activation volumes scaled by the
- *  measured densities), so TraceSimResult prices end-to-end traffic,
- *  not just bank contention. Refill is double-buffered against
- *  compute: only the demand exceeding the phase's array-busy window is
- *  exposed (`dramStallCycles`); the full demand is reported in
+ *  (layer, phase)'s working set from DRAM into the GLB at this rate.
+ *  The words are the sparse machine's CostModel::dramWords, fed the
+ *  *measured* facts (compressed weight image `LayerTrace::csbWeightBytes`
+ *  via LayerTrace::measuredStats, activation volumes at the measured
+ *  densities), so TraceSimResult prices end-to-end traffic, not just
+ *  bank contention. Refill is double-buffered against compute: only
+ *  the demand exceeding the phase's array-busy window is exposed
+ *  (`dramStallCycles`); the full demand is reported in
  *  `dramRefillCycles`. Only the trace-driven entry points model
  *  refill (the profile path has no measured bytes).
  *
@@ -81,14 +82,15 @@
  * simulateWaveSequence chains a sequence (with drain overlap when
  * enabled). simulateLayerPhase and simulateTraceEpoch build their
  * waves with the analytic model's wave tiler (arch/wave_tiler.h) and
- * take per-slot work from the same slot-work oracles as the model and
- * the imbalance replay: ProfileSlotWork over a LayerSparsityProfile,
- * TraceSlotWork over a measured WorkloadTrace epoch (exact epoch-final
- * mask slice counts and measured activation vectors,
- * arch/trace_imbalance.h). buildEpochWavePlan / simulateEpochPlan
- * split the epoch replay into its SimConfig-independent geometry and
- * the per-config clocking, so knob sweeps over one measured epoch
- * (bench_dataflow) build the waves once.
+ * take per-slot work from a LayerSparsityProfile, exactly as the model
+ * and the imbalance replay do: the caller's profile for
+ * simulateLayerPhase, the epoch's measured profiles
+ * (arch::measuredProfiles — epoch-final mask counts and measured
+ * activation vectors, unclamped) for a trace. buildEpochWavePlan /
+ * simulateEpochPlan split the epoch replay into its
+ * SimConfig-independent geometry and the per-config clocking, so knob
+ * sweeps over one measured epoch (bench_dataflow) build the waves
+ * once.
  */
 
 #ifndef PROCRUSTES_SIM_CYCLE_SIM_H_
@@ -287,15 +289,16 @@ SimResult simulateWaveSequence(const std::vector<WaveSpec> &waves,
  * Build the wave sequence for (layer, phase, mapping) from a sparsity
  * profile, then simulate every wave (drain-overlapped when
  * cfg.doubleBufferOutputs). Waves and slot work are the analytic
- * model's own (WaveTiler, ProfileSlotWork), so with operand delivery
- * keeping up, the simulated compute cycles track
+ * model's own (WaveTiler, ProfileSlotWork over the same profile), so
+ * with operand delivery keeping up, the simulated compute cycles track
  * CostModel::evaluatePhase's computeCycles for every mapping and
- * phase; the gap is interconnect stalls, rounding of per-slot demand
- * to whole MACs, and idle zero-density slots. Operand channels follow
- * classifyFlow(). Slots whose sparse-operand density is zero (fully
- * pruned slices/chunks) carry zero demand: they retire no phantom
- * MACs, drain no phantom psums, and are excluded from stall
- * accounting. No DRAM refill: the profile path has no measured bytes.
+ * phase; the gap is interconnect stalls and rounding of per-slot
+ * demand to whole MACs. Operand channels follow classifyFlow(). Slots
+ * whose sparse-operand density is zero (fully pruned slices/chunks,
+ * dead measured channels or samples) carry zero demand, as they carry
+ * zero work in the model: they retire no phantom MACs, drain no
+ * phantom psums, and are excluded from stall accounting. No DRAM
+ * refill: the profile path has no measured bytes.
  */
 SimResult simulateLayerPhase(const arch::LayerShape &layer,
                              arch::Phase phase, arch::MappingKind mapping,
@@ -306,25 +309,16 @@ SimResult simulateLayerPhase(const arch::LayerShape &layer,
                                  arch::BalanceMode::HalfTile);
 
 /**
- * DRAM->GLB refill demand of one traced (layer, phase) in 32-bit
- * words, from the measured facts: the compressed weight image
- * (LayerTrace::csbWeightBytes — falls back to the mask-density
- * estimate when a trace predates byte telemetry) plus dense/compressed
- * activation volumes scaled by the measured input density, mirroring
- * the per-phase structure of CostModel::dramWords for the sparse
- * machine.
- */
-double traceRefillWords(const arch::LayerTrace &layer, arch::Phase phase,
-                        int64_t batch);
-
-/**
  * SimConfig-independent wave geometry of one traced (layer, phase):
- * the WaveSpec sequence the trace replay clocks (WaveTiler waves,
- * TraceSlotWork slot work), plus the phase's DRAM refill word demand. Building this is the
- * expensive part of a trace replay (mask slice queries, balancing);
- * it depends only on the epoch's measured facts, the mapping, the
- * array geometry, and the balance mode — never on SimConfig — so
- * knob sweeps build it once and re-clock it per configuration.
+ * the WaveSpec sequence the trace replay clocks (WaveTiler waves, slot
+ * work from the layer's measured profile), plus the phase's DRAM
+ * refill demand — CostModel::dramWords of the sparse machine for the
+ * layer's measured facts, bitwise the words the analytic model
+ * charges. Building this is the expensive part of a trace replay
+ * (profile queries, balancing); it depends only on the epoch's
+ * measured facts, the mapping, the array geometry, and the balance
+ * mode — never on SimConfig — so knob sweeps build it once and
+ * re-clock it per configuration.
  */
 struct PhaseWavePlan
 {
@@ -378,7 +372,22 @@ struct TraceSimResult
      */
     double analyticRefCycles = -1.0;
 
-    /** total.cycles / analyticRefCycles (negative stand-alone). */
+    /**
+     * total.cycles / analyticRefCycles (negative stand-alone). The
+     * numerator is the simulator's whole clock (compute plus psum
+     * drain, GLB-conflict replay and DRAM stalls); the denominator is
+     * the model's compute-only latency. So the ratio is not a compute
+     * fidelity error. On the perfbench dropback_qe trace
+     * (`--trace 1 --seed 1`, default SimConfig) its 6.01 splits as
+     * 9,772,264 total = 1,944,142 compute + 7,828,122 drain (no
+     * overlapped drain, GLB-conflict or DRAM-stall cycles; the 631M
+     * FIFO-backpressure PE-operand-cycles lie inside compute) over
+     * 1,625,585 analytic compute cycles: 1.20 compute, almost all of
+     * the excess in forward operand delivery, and 4.82 drain, 7.0M of
+     * it the backward-data phase's dense input gradients. The analytic
+     * cycles behind perfbench's arch.model_speedup (4.0) carry no drain
+     * and no delivery stalls at all.
+     */
     double analyticCycleRatio = -1.0;
 };
 

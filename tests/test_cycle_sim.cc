@@ -737,6 +737,154 @@ TEST(TraceSim, PrebuiltPlanMatchesDirectEpochSimulation)
     }
 }
 
+TEST(TraceSim, PlanRefillWordsAreTheCostModelsDramWords)
+{
+    // The trace replay's DRAM->GLB refill demand is the analytic
+    // model's own DRAM-word accounting for the measured facts, not a
+    // hand mirror of it: bitwise equal for every (layer, phase).
+    const TracePipeline &p = sharedPipeline();
+    const arch::Accelerator acc = arch::Accelerator::procrustes();
+    const arch::CostModel &model = acc.costModel();
+    const arch::EpochTrace &et = p.trace.epoch(0);
+    const auto profiles = p.trace.profiles(0);
+    const EpochWavePlan plan = buildEpochWavePlan(
+        et, acc.mapping(), model.config(), model.options().balance);
+    ASSERT_EQ(plan.order.size(), 3 * et.layers.size());
+    for (const PhaseWavePlan &e : plan.order) {
+        const arch::LayerTrace &l = et.layers[e.layerIndex];
+        const arch::MeasuredLayerStats stats =
+            l.measuredStats(e.phase, model.options().sparse);
+        EXPECT_GT(e.refillWords, 0.0);
+        EXPECT_EQ(e.refillWords,
+                  model.dramWords(l.shape, e.phase,
+                                  profiles[e.layerIndex], et.batchSize,
+                                  stats))
+            << l.name << " " << arch::phaseName(e.phase);
+        // ... which are the words behind the model's DRAM cycles.
+        EXPECT_DOUBLE_EQ(
+            e.refillWords / model.config().dramWordsPerCycle(),
+            model
+                .evaluatePhase(l.shape, e.phase, acc.mapping(),
+                               profiles[e.layerIndex], et.batchSize,
+                               stats)
+                .dramCycles)
+            << l.name << " " << arch::phaseName(e.phase);
+    }
+}
+
+/**
+ * A one-layer trace, fed through WorkloadTrace::observe like a real
+ * step: a 32x32 3x3 conv at batch 16 whose input channels 16..31 are
+ * dead (ReLU zeroed them in every sample) and whose sample 3 is dead.
+ * Live channels run at 0.2 density.
+ */
+arch::WorkloadTrace
+deadSlotTrace()
+{
+    constexpr int64_t kBatch = 16;
+    constexpr int64_t kC = 32;
+    constexpr int64_t kDeadSample = 3;
+    nn::LayerStepReport r;
+    r.layerName = "conv";
+    r.kind = nn::LayerStepReport::Kind::Conv;
+    r.batch = kBatch;
+    r.K = 32;
+    r.C = kC;
+    r.R = r.S = 3;
+    r.P = r.Q = 8;
+    r.hasMacs = true;
+    r.hasMask = true;
+    sparse::SyntheticMaskConfig mc;
+    mc.targetDensity = 0.25;
+    mc.seed = 9;
+    r.mask = sparse::makeSyntheticMask(r.K, r.C, r.R, r.S, mc);
+    r.inputDensity = 0.1 * 15.0 / 16.0;
+    for (int64_t c = 0; c < kC; ++c)
+        r.inputChannelDensity.push_back(c < kC / 2 ? 0.2 * 15.0 / 16.0
+                                                   : 0.0);
+    for (int64_t n = 0; n < kBatch; ++n) {
+        const double d = n == kDeadSample ? 0.0 : 0.1;
+        r.inputSampleDensity.push_back(d);
+        // Every live channel sits in the first C half.
+        r.inputSampleHalfDensity.push_back(d);
+        r.inputSampleHalfDensity.push_back(0.0);
+    }
+    r.inputRowDensity.assign(8, r.inputDensity);
+    r.inputColDensity.assign(8, r.inputDensity);
+    nn::StepTelemetry t;
+    t.batchSize = kBatch;
+    t.reports.push_back(r);
+    arch::WorkloadTrace trace;
+    trace.observe(t);
+    return trace;
+}
+
+TEST(TraceSim, DeadChannelsAndSamplesAreZeroWorkToModelAndSimulator)
+{
+    // A dead ReLU channel or sample is zero work. The measured profile
+    // must say so (no density floor), the cost model must then charge
+    // those slots nothing, and — since the simulator idles them — the
+    // analytic and simulated weight-update compute cycles must agree
+    // on the measured epoch as they do on synthetic profiles.
+    const arch::WorkloadTrace trace = deadSlotTrace();
+    const arch::EpochTrace &et = trace.epoch(0);
+    const LayerShape &shape = et.layers[0].shape;
+    const LayerSparsityProfile profile = trace.profiles(0)[0];
+
+    for (int64_t c = 16; c < 32; ++c) {
+        EXPECT_EQ(profile.iactChannelDensity(c), 0.0) << c;
+        EXPECT_EQ(profile.iactChannelHalfDensity(c, 0), 0.0) << c;
+        EXPECT_EQ(profile.iactChannelHalfDensity(c, 1), 0.0) << c;
+        EXPECT_EQ(profile.iactSampleChannelDensity(0, c), 0.0) << c;
+    }
+    EXPECT_EQ(profile.iactSampleDensity(3), 0.0);
+    EXPECT_EQ(profile.iactSampleHalfDensity(3, 0), 0.0);
+    EXPECT_EQ(profile.iactSampleHalfDensity(3, 1), 0.0);
+    EXPECT_EQ(profile.iactSampleChannelDensity(3, 0), 0.0);
+    EXPECT_GT(profile.iactSampleChannelDensity(0, 0), 0.0);
+
+    const ArrayConfig acfg = ArrayConfig::baseline16();
+    arch::CostOptions opts;
+    opts.sparse = true;
+    opts.balance = BalanceMode::HalfTile;
+    for (MappingKind mapping : {MappingKind::CK, MappingKind::CN}) {
+        const std::string name = arch::mappingName(mapping);
+        // Both mappings put C on the PE rows: waves over channels
+        // 16..31 hold only dead slots and cost nothing.
+        const arch::CostModel model(acfg, opts);
+        const auto stats = model.waveStats(shape, Phase::WeightUpdate,
+                                           mapping, profile, et.batchSize);
+        const arch::WaveTiler tiler(acfg, shape, Phase::WeightUpdate,
+                                    mapping, et.batchSize);
+        ASSERT_EQ(tiler.dims()[0], arch::Dim::C) << name;
+        size_t i = 0;
+        int dead_waves = 0;
+        tiler.forEachWave([&](const arch::Wave &w) {
+            ASSERT_LT(i, stats.size());
+            if (w.b0 >= 16) {
+                EXPECT_EQ(stats[i].maxWork, 0.0) << name << " " << i;
+                EXPECT_EQ(stats[i].meanWork, 0.0) << name << " " << i;
+                ++dead_waves;
+            } else {
+                EXPECT_GT(stats[i].maxWork, 0.0) << name << " " << i;
+            }
+            ++i;
+        });
+        EXPECT_EQ(i, stats.size()) << name;
+        EXPECT_GT(dead_waves, 0) << name;
+
+        const arch::Accelerator acc(acfg, opts, mapping);
+        TraceSimResult csim;
+        const arch::NetworkCost cost =
+            acc.evaluateTrace(trace, 0, nullptr, &csim);
+        ASSERT_GT(cost.wu.computeCycles, 0.0) << name;
+        EXPECT_NEAR(static_cast<double>(csim.wu.computeCycles) /
+                        cost.wu.computeCycles,
+                    1.0, 0.01)
+            << name;
+    }
+}
+
 /** Restores the process-wide pool to its env-resolved size on exit. */
 struct GlobalPoolGuard
 {
