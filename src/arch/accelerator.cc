@@ -92,12 +92,14 @@ Accelerator::evaluateTrace(const WorkloadTrace &trace, size_t epoch_idx,
     }
     if (imbalance) {
         *imbalance = measuredEpochImbalance(
-            e, mapping_, model_.config(), model_.options().balance);
+            e, profiles, mapping_, model_.config(),
+            model_.options().balance);
     }
     if (cycle_sim) {
-        *cycle_sim = sim::simulateTraceEpoch(e, mapping_, model_.config(),
-                                             sim_cfg,
-                                             model_.options().balance);
+        *cycle_sim = sim::simulateEpochPlan(
+            sim::buildEpochWavePlan(e, profiles, mapping_, model_.config(),
+                                    model_.options().balance),
+            sim_cfg);
         cycle_sim->analyticComputeCycles = cost.total().computeCycles;
         cycle_sim->analyticRefCycles = analytic_ref;
         cycle_sim->analyticCycleRatio =

@@ -20,10 +20,18 @@ measuredEpochImbalance(const EpochTrace &epoch, MappingKind mapping,
                        const ArrayConfig &cfg, BalanceMode balance,
                        int bins, double bin_width)
 {
+    return measuredEpochImbalance(epoch, measuredProfiles(epoch), mapping,
+                                  cfg, balance, bins, bin_width);
+}
+
+EpochImbalance
+measuredEpochImbalance(const EpochTrace &epoch,
+                       const std::vector<LayerSparsityProfile> &profiles,
+                       MappingKind mapping, const ArrayConfig &cfg,
+                       BalanceMode balance, int bins, double bin_width)
+{
     PROCRUSTES_ASSERT(epoch.batchSize > 0, "epoch has no batch size");
     const NetworkModel net = measuredNetwork(epoch);
-    const std::vector<LayerSparsityProfile> profiles =
-        measuredProfiles(epoch);
     std::vector<double> balanced;
     std::vector<double> unbalanced;
     // Forward and Backward tile identically (both are sparse in

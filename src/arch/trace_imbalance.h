@@ -57,6 +57,14 @@ measuredEpochImbalance(const EpochTrace &epoch, MappingKind mapping,
                        const ArrayConfig &cfg, BalanceMode balance,
                        int bins = 32, double bin_width = 0.05);
 
+/** As above, over the epoch's already built measuredProfiles. */
+EpochImbalance
+measuredEpochImbalance(const EpochTrace &epoch,
+                       const std::vector<LayerSparsityProfile> &profiles,
+                       MappingKind mapping, const ArrayConfig &cfg,
+                       BalanceMode balance, int bins = 32,
+                       double bin_width = 0.05);
+
 } // namespace arch
 } // namespace procrustes
 

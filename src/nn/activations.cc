@@ -13,13 +13,13 @@ ReLU::forward(const Tensor &x, bool)
     float *pm = mask_.data();
     const int64_t n = x.numel();
     int64_t zeros = 0;
+    // Branchless: every element is written, so the loop vectorizes.
+    // Non-positive inputs (-0 and NaN included) give +0, as before.
     for (int64_t i = 0; i < n; ++i) {
-        if (px[i] > 0.0f) {
-            py[i] = px[i];
-            pm[i] = 1.0f;
-        } else {
-            ++zeros;
-        }
+        const bool pos = px[i] > 0.0f;
+        py[i] = pos ? px[i] : 0.0f;
+        pm[i] = pos ? 1.0f : 0.0f;
+        zeros += pos ? 0 : 1;
     }
     lastSparsity_ = n ? static_cast<double>(zeros) /
                             static_cast<double>(n)

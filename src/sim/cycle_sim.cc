@@ -1,7 +1,10 @@
 #include "sim/cycle_sim.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <numeric>
+#include <unordered_map>
 
 #include "common/logging.h"
 #include "common/math_utils.h"
@@ -105,82 +108,111 @@ unicastRoundRobin(const std::vector<int64_t> &cap,
     const size_t n = cap.size();
     if (n == 0)
         return 0;
-    size_t next = cursor % n;
+    size_t idx = cursor < n ? cursor : cursor % n;
+    size_t next = idx;
     for (size_t step = 0; step < n && budget > 0; ++step) {
-        const size_t idx = (cursor + step) % n;
         if (recv[idx] < cap[idx]) {
             ++recv[idx];
             --budget;
-            next = (idx + 1) % n;
+            next = idx + 1 == n ? 0 : idx + 1;
         }
+        if (++idx == n)
+            idx = 0;
     }
     return next;
 }
 
-namespace {
-
-/** True if the PE may retire one more MAC this cycle. */
 bool
-canIssue(const TileDemand &d, int64_t done, int64_t recv_a, int64_t recv_b)
+operator==(const TileDemand &a, const TileDemand &b)
 {
-    if (done >= d.macs)
-        return false;
-    // Operand words unlock MACs proportionally: word w of operand A
-    // enables MACs up to w * (macs / wordsA).
-    if (d.wordsA > 0 && done * d.wordsA >= recv_a * d.macs)
-        return false;
-    if (d.wordsB > 0 && done * d.wordsB >= recv_b * d.macs)
-        return false;
-    return true;
+    return a.macs == b.macs && a.wordsA == b.wordsA &&
+           a.wordsB == b.wordsB && a.psumWords == b.psumWords;
 }
 
-/**
- * Most words a PE may have received: the queue holds `depth` words
- * past the `consumed` point (the words its retired MACs have used up),
- * never more than the full demand.
- */
-int64_t
-deliveryCap(int64_t words, int64_t macs, int64_t done, int depth)
+bool
+operator==(const WaveSpec &a, const WaveSpec &b)
 {
-    if (depth <= 0 || macs <= 0)
-        return words;
-    const int64_t consumed = ceilDiv(done * words, macs);
-    return std::min(words, consumed + depth);
+    return a.rows == b.rows && a.cols == b.cols &&
+           a.channelA == b.channelA && a.channelB == b.channelB &&
+           a.channelOut == b.channelOut && a.tiles == b.tiles;
+}
+
+namespace {
+
+/**
+ * How far a busy PE has consumed one operand. Word w of an operand
+ * unlocks MACs up to w * macs / words, and the PE's queue holds at
+ * most `depth` words past its consumed point ceil(done * words / macs).
+ * That point moves only when a MAC retires: it advances by words / macs
+ * per MAC, and `slack` = consumed * macs - done * words (always in
+ * [0, macs)) carries the fraction, so the cycle loop never divides.
+ */
+struct Consumption
+{
+    int64_t consumed = 0;
+    int64_t slack = 0;
+    int64_t step = 0;      //!< words / macs
+    int64_t stepRem = 0;   //!< words % macs
+
+    Consumption() = default;
+    Consumption(int64_t words, int64_t macs)
+        : step(words / macs), stepRem(words % macs)
+    {
+    }
+
+    /** A MAC retired: advance, and return the operand's new cap. */
+    int64_t retire(int64_t words, int64_t macs, int depth)
+    {
+        consumed += step;
+        slack -= stepRem;
+        if (slack < 0) {
+            ++consumed;
+            slack += macs;
+        }
+        return std::min(words, consumed + depth);
+    }
+};
+
+/** True if the operand words received so far leave MAC `done` locked. */
+bool
+blocks(int64_t words, int64_t macs, int64_t done, int64_t recv)
+{
+    return words > 0 && done * words >= recv * macs;
+}
+
+/** A hungry operand at its cap has a delivery withheld. */
+bool
+backpressured(int64_t words, int64_t recv, int64_t cap)
+{
+    return recv < words && recv >= cap;
 }
 
 /**
  * Deliver one multicast word along each row (or column) with a hungry,
- * non-full PE; returns the number of lines that fired (one GLB word
- * read per fired line).
+ * non-full PE; every such PE on the line takes it. Returns the number
+ * of lines that fired (one GLB word read per fired line).
  */
 int64_t
 deliverBus(const WaveSpec &wave, const std::vector<int64_t> &cap,
            std::vector<int64_t> &recv, bool row_major)
 {
-    const int outer = row_major ? wave.rows : wave.cols;
-    const int inner = row_major ? wave.cols : wave.rows;
+    const auto rows = static_cast<size_t>(wave.rows);
+    const auto cols = static_cast<size_t>(wave.cols);
+    const size_t lines = row_major ? rows : cols;
+    const size_t len = row_major ? cols : rows;
+    const size_t line_stride = row_major ? cols : 1;
+    const size_t stride = row_major ? 1 : cols;
     int64_t fired = 0;
-    for (int o = 0; o < outer; ++o) {
+    for (size_t o = 0; o < lines; ++o) {
         bool any = false;
-        for (int i = 0; i < inner; ++i) {
-            const int r = row_major ? o : i;
-            const int c = row_major ? i : o;
-            const auto idx = static_cast<size_t>(r * wave.cols + c);
+        size_t idx = o * line_stride;
+        for (size_t i = 0; i < len; ++i, idx += stride) {
             if (recv[idx] < cap[idx]) {
+                ++recv[idx];
                 any = true;
-                break;
             }
         }
-        if (!any)
-            continue;
-        ++fired;
-        for (int i = 0; i < inner; ++i) {
-            const int r = row_major ? o : i;
-            const int c = row_major ? i : o;
-            const auto idx = static_cast<size_t>(r * wave.cols + c);
-            if (recv[idx] < cap[idx])
-                ++recv[idx];
-        }
+        fired += any ? 1 : 0;
     }
     return fired;
 }
@@ -228,9 +260,26 @@ deliverChannel(const WaveSpec &wave, const std::vector<int64_t> &cap,
     PANIC("unknown channel");
 }
 
-} // namespace
-
-namespace {
+/**
+ * Charge `count` consecutive word addresses starting at `start` to
+ * banks interleaved word-round-robin: every bank takes count / banks,
+ * and the count % banks words left over land on the banks from
+ * start % banks on.
+ */
+void
+chargeBanks(std::vector<int64_t> &per_bank, int64_t start, int64_t count)
+{
+    const auto banks = static_cast<int64_t>(per_bank.size());
+    const int64_t each = count / banks;
+    for (int64_t &b : per_bank)
+        b += each;
+    auto bank = static_cast<size_t>(start % banks);
+    for (int64_t k = count % banks; k > 0; --k) {
+        ++per_bank[bank];
+        if (++bank == per_bank.size())
+            bank = 0;
+    }
+}
 
 /**
  * Per-wave facts the double-buffered drain accounting needs beyond
@@ -247,19 +296,6 @@ struct WaveSideband
     int64_t drainSerialCycles = 0;   //!< drainCycles + drain conflicts
 };
 
-SimResult simulateWaveImpl(const WaveSpec &wave, const SimConfig &cfg,
-                           WaveSideband *sb);
-
-} // namespace
-
-SimResult
-simulateWave(const WaveSpec &wave, const SimConfig &cfg)
-{
-    return simulateWaveImpl(wave, cfg, nullptr);
-}
-
-namespace {
-
 SimResult
 simulateWaveImpl(const WaveSpec &wave, const SimConfig &cfg,
                  WaveSideband *sb)
@@ -270,53 +306,62 @@ simulateWaveImpl(const WaveSpec &wave, const SimConfig &cfg,
         "tile count mismatch");
     validateSimConfig(cfg);
     SimResult res;
-    const int64_t banks = cfg.glbBanks;
-    const int64_t bank_bw = banks * cfg.glbBankPortsPerCycle;
-    res.glbBankReads.assign(static_cast<size_t>(banks), 0);
-    res.glbBankWrites.assign(static_cast<size_t>(banks), 0);
+    const int64_t bank_bw =
+        static_cast<int64_t>(cfg.glbBanks) * cfg.glbBankPortsPerCycle;
+    const int depth = cfg.peFifoDepth;
 
+    // One cycle's GLB accesses beyond the aggregate bank bandwidth
+    // replay in appended stall cycles. Which bank each word lands on
+    // follows from the rolling address alone (chargeBanks), so the
+    // cycle loop only counts words.
+    auto chargeConflicts = [&](int64_t words, int64_t times) {
+        if (words > bank_bw) {
+            res.glbConflicts += (words - bank_bw) * times;
+            res.glbConflictCycles += (ceilDiv(words, bank_bw) - 1) * times;
+        }
+    };
+
+    // Delivery state of every slot: words received, and the most words
+    // its queue may hold. An idle or finished PE's cap is its full
+    // demand (words > macs can leave a finished PE hungry); a busy
+    // PE's cap moves as it retires MACs. Only busy PEs are visited in
+    // the MAC loop.
     const size_t n = wave.tiles.size();
-    std::vector<int64_t> macs_done(n, 0);
     std::vector<int64_t> recv_a(n, 0);
     std::vector<int64_t> recv_b(n, 0);
     std::vector<int64_t> cap_a(n, 0);
     std::vector<int64_t> cap_b(n, 0);
-    size_t uni_cursor = 0;
-    int64_t glb_addr = 0;   // rolling word address, interleaved on banks
-
-    // Charge one cycle's GLB accesses to banks; surplus beyond the
-    // aggregate bank bandwidth replays in appended stall cycles.
-    auto chargeGlb = [&](int64_t words, std::vector<int64_t> &per_bank) {
-        for (int64_t w = 0; w < words; ++w)
-            ++per_bank[static_cast<size_t>((glb_addr++) % banks)];
-        if (words > bank_bw) {
-            res.glbConflicts += words - bank_bw;
-            res.glbConflictCycles += ceilDiv(words, bank_bw) - 1;
+    std::vector<int64_t> done(n, 0);
+    std::vector<Consumption> use_a(n);
+    std::vector<Consumption> use_b(n);
+    std::vector<size_t> busy;
+    for (size_t idx = 0; idx < n; ++idx) {
+        const TileDemand &d = wave.tiles[idx];
+        const bool bounded = depth > 0 && d.macs > 0;
+        cap_a[idx] = bounded ? std::min<int64_t>(d.wordsA, depth) : d.wordsA;
+        cap_b[idx] = bounded ? std::min<int64_t>(d.wordsB, depth) : d.wordsB;
+        if (d.macs > 0) {
+            use_a[idx] = Consumption(d.wordsA, d.macs);
+            use_b[idx] = Consumption(d.wordsB, d.macs);
+            busy.push_back(idx);
+            res.macsRetired += d.macs;
         }
-    };
+    }
+    // A hungry PE at its cap has a word withheld by backpressure. The
+    // count for a cycle is taken against the caps the previous cycle
+    // left, so after the first cycle it folds into the MAC loop.
+    for (size_t idx : busy) {
+        const TileDemand &d = wave.tiles[idx];
+        res.fifoBackpressureCycles +=
+            (backpressured(d.wordsA, recv_a[idx], cap_a[idx]) ? 1 : 0) +
+            (backpressured(d.wordsB, recv_b[idx], cap_b[idx]) ? 1 : 0);
+    }
 
-    int64_t remaining = 0;
-    for (const TileDemand &d : wave.tiles)
-        remaining += d.macs;
-
+    size_t uni_cursor = 0;
     int64_t compute_reads = 0;
-    while (remaining > 0) {
+    while (!busy.empty()) {
         PROCRUSTES_ASSERT(res.computeCycles < cfg.maxCycles,
                           "wave exceeded cycle limit");
-        // Queue caps for this cycle; a hungry PE at its cap has a word
-        // withheld by backpressure.
-        for (size_t idx = 0; idx < n; ++idx) {
-            const TileDemand &d = wave.tiles[idx];
-            cap_a[idx] = deliveryCap(d.wordsA, d.macs, macs_done[idx],
-                                     cfg.peFifoDepth);
-            cap_b[idx] = deliveryCap(d.wordsB, d.macs, macs_done[idx],
-                                     cfg.peFifoDepth);
-            if (recv_a[idx] < d.wordsA && recv_a[idx] >= cap_a[idx])
-                ++res.fifoBackpressureCycles;
-            if (recv_b[idx] < d.wordsB && recv_b[idx] >= cap_b[idx])
-                ++res.fifoBackpressureCycles;
-        }
-
         // Delivery happens first; a word arriving this cycle can feed
         // a MAC this cycle (single-cycle forwarding). One unicast
         // budget serves both operands.
@@ -325,35 +370,43 @@ simulateWaveImpl(const WaveSpec &wave, const SimConfig &cfg,
                                        uni_budget, uni_cursor);
         words += deliverChannel(wave, cap_b, recv_b, wave.channelB,
                                 uni_budget, uni_cursor);
-        chargeGlb(words, res.glbBankReads);
+        chargeConflicts(words, 1);
         compute_reads += words;
 
-        for (size_t idx = 0; idx < n; ++idx) {
+        size_t kept = 0;
+        for (size_t idx : busy) {
             const TileDemand &d = wave.tiles[idx];
-            if (macs_done[idx] >= d.macs)
-                continue;
-            if (canIssue(d, macs_done[idx], recv_a[idx], recv_b[idx])) {
-                ++macs_done[idx];
-                ++res.macsRetired;
-                --remaining;
-            } else {
+            if (blocks(d.wordsA, d.macs, done[idx], recv_a[idx]) ||
+                blocks(d.wordsB, d.macs, done[idx], recv_b[idx])) {
                 ++res.stallCycles;
+            } else {
+                if (depth > 0) {
+                    cap_a[idx] = use_a[idx].retire(d.wordsA, d.macs, depth);
+                    cap_b[idx] = use_b[idx].retire(d.wordsB, d.macs, depth);
+                }
+                if (++done[idx] == d.macs)
+                    continue;   // finished: its cap is now its demand
             }
+            if (backpressured(d.wordsA, recv_a[idx], cap_a[idx]))
+                ++res.fifoBackpressureCycles;
+            if (backpressured(d.wordsB, recv_b[idx], cap_b[idx]))
+                ++res.fifoBackpressureCycles;
+            busy[kept++] = idx;
         }
+        busy.resize(kept);
         ++res.computeCycles;
     }
 
     // Drain partial sums through the output channel, one bandwidth-
-    // limited batch of GLB writes per cycle. The writes are charged to
-    // banks here regardless of drain mode, so the per-bank traffic
-    // image is identical in both modes: with double-buffered outputs
-    // the sequence layer re-times this drain (hiding it in the next
-    // wave's spare GLB write bandwidth) but never re-routes it — see
-    // simulateWaveSequence.
+    // limited batch of GLB writes per cycle: full batches, then the
+    // remainder. The writes are charged to banks here regardless of
+    // drain mode, so the per-bank traffic image is identical in both
+    // modes: with double-buffered outputs the sequence layer re-times
+    // this drain (hiding it in the next wave's spare GLB write
+    // bandwidth) but never re-routes it — see simulateSequencePiece.
     int64_t psum_words = 0;
     for (const TileDemand &d : wave.tiles)
         psum_words += d.psumWords;
-    const int64_t psum_total = psum_words;
     const int64_t pre_drain_conflicts = res.glbConflictCycles;
     int64_t drain_bw = 1;
     switch (wave.channelOut) {
@@ -371,18 +424,22 @@ simulateWaveImpl(const WaveSpec &wave, const SimConfig &cfg,
         break;
     }
     drain_bw = std::max<int64_t>(1, drain_bw);
-    while (psum_words > 0) {
-        const int64_t w = std::min(drain_bw, psum_words);
-        psum_words -= w;
-        ++res.drainCycles;
-        chargeGlb(w, res.glbBankWrites);
-    }
+    const int64_t full_batches = psum_words / drain_bw;
+    const int64_t last_batch = psum_words % drain_bw;
+    res.drainCycles = full_batches + (last_batch > 0 ? 1 : 0);
+    chargeConflicts(drain_bw, full_batches);
+    chargeConflicts(last_batch, 1);
+
+    res.glbBankReads.assign(static_cast<size_t>(cfg.glbBanks), 0);
+    res.glbBankWrites.assign(static_cast<size_t>(cfg.glbBanks), 0);
+    chargeBanks(res.glbBankReads, 0, compute_reads);
+    chargeBanks(res.glbBankWrites, compute_reads, psum_words);
 
     res.cycles = res.computeCycles + res.drainCycles + res.glbConflictCycles;
     if (sb != nullptr) {
         sb->computeCycles = res.computeCycles;
         sb->computeReads = compute_reads;
-        sb->drainWords = psum_total;
+        sb->drainWords = psum_words;
         sb->drainSerialCycles =
             res.drainCycles +
             (res.glbConflictCycles - pre_drain_conflicts);
@@ -390,9 +447,99 @@ simulateWaveImpl(const WaveSpec &wave, const SimConfig &cfg,
     return res;
 }
 
-} // namespace
+/** One clocked wave: its result and its drain-overlap facts. */
+struct WaveClock
+{
+    SimResult result;
+    WaveSideband sideband;
+};
 
-namespace {
+/** Hash of every field of a wave (hits are confirmed by ==). */
+uint64_t
+waveHash(const WaveSpec &w)
+{
+    uint64_t h = 0x9e3779b97f4a7c15ULL;
+    auto mix = [&h](int64_t v) {
+        h ^= static_cast<uint64_t>(v) + 0x9e3779b97f4a7c15ULL + (h << 6) +
+             (h >> 2);
+    };
+    mix(w.rows);
+    mix(w.cols);
+    mix(static_cast<int64_t>(w.channelA));
+    mix(static_cast<int64_t>(w.channelB));
+    mix(static_cast<int64_t>(w.channelOut));
+    for (const TileDemand &d : w.tiles) {
+        mix(d.macs);
+        mix(d.wordsA);
+        mix(d.wordsB);
+        mix(d.psumWords);
+    }
+    return h;
+}
+
+/**
+ * Clock every distinct wave of `seqs` exactly once. A wave's result is
+ * a pure function of (WaveSpec, SimConfig): its GLB address starts at
+ * 0 and no state crosses waves. So the waves are interned first (full
+ * hash, every hit confirmed by full equality), and the distinct ones
+ * clock in parallel on the shared pool, longest (most MACs on one PE)
+ * first. Distinct waves are numbered in first-occurrence order and
+ * their clocks stored by that number, so nothing depends on hash order
+ * or thread count. Returns, per sequence, each wave's index into
+ * `clocks`.
+ */
+std::vector<std::vector<size_t>>
+clockDistinctWaves(const std::vector<const std::vector<WaveSpec> *> &seqs,
+                   const SimConfig &cfg, std::vector<WaveClock> &clocks)
+{
+    std::vector<const WaveSpec *> distinct;
+    std::unordered_multimap<uint64_t, size_t> seen;
+    std::vector<std::vector<size_t>> ids(seqs.size());
+    for (size_t s = 0; s < seqs.size(); ++s) {
+        for (const WaveSpec &w : *seqs[s]) {
+            const uint64_t h = waveHash(w);
+            size_t id = distinct.size();
+            const auto hits = seen.equal_range(h);
+            for (auto it = hits.first; it != hits.second; ++it) {
+                if (*distinct[it->second] == w) {
+                    id = it->second;
+                    break;
+                }
+            }
+            if (id == distinct.size()) {
+                distinct.push_back(&w);
+                seen.emplace(h, id);
+            }
+            ids[s].push_back(id);
+        }
+    }
+
+    std::vector<int64_t> longest(distinct.size(), 0);
+    for (size_t d = 0; d < distinct.size(); ++d) {
+        for (const TileDemand &t : distinct[d]->tiles)
+            longest[d] = std::max(longest[d], t.macs);
+    }
+    std::vector<size_t> order(distinct.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::stable_sort(order.begin(), order.end(), [&](size_t x, size_t y) {
+        return longest[x] > longest[y];
+    });
+
+    // One task per pool thread, each taking the next-longest wave
+    // until none is left: the pool's own chunking would hand one
+    // thread a run of the longest waves.
+    clocks.assign(distinct.size(), WaveClock{});
+    std::atomic<size_t> next{0};
+    ThreadPool &pool = ThreadPool::global();
+    pool.parallelFor(0, pool.numThreads(), [&](int64_t, int64_t) {
+        for (size_t k = next++; k < order.size(); k = next++) {
+            WaveClock &c = clocks[order[k]];
+            c.result = simulateWaveImpl(*distinct[order[k]], cfg,
+                                        &c.sideband);
+        }
+    });
+    return ids;
+}
 
 /**
  * What a clocked piece exposes so callers can continue the
@@ -414,25 +561,26 @@ struct PieceLink
 };
 
 /**
- * Clock a wave sequence, chaining the two-psum-buffer drain overlap
- * when cfg.doubleBufferOutputs. At each wave boundary the finished
- * wave's psums swap into the spare buffer and stream to the GLB
- * through the write bandwidth the next wave's compute window leaves
- * spare (operand reads have priority: spare = banks x ports x C_next
- * minus the window's reads); words still pending when the window
- * closes flush at the full aggregate bank bandwidth before the next
- * swap. The cycles this saves versus the serial drain (drain cycles
- * plus the drain's own conflict-replay cycles) are removed from
- * `cycles` and reported in overlappedDrainCycles; per-bank traffic is
- * untouched, so reads/writes match serial mode exactly. The saving is
- * provably non-negative, so double-buffered never clocks slower than
- * serial on the same waves.
+ * Chain a clocked wave sequence (`ids` into `clocks`), overlapping the
+ * two-psum-buffer drain when cfg.doubleBufferOutputs. At each wave
+ * boundary the finished wave's psums swap into the spare buffer and
+ * stream to the GLB through the write bandwidth the next wave's
+ * compute window leaves spare (operand reads have priority: spare =
+ * banks x ports x C_next minus the window's reads); words still
+ * pending when the window closes flush at the full aggregate bank
+ * bandwidth before the next swap. The cycles this saves versus the
+ * serial drain (drain cycles plus the drain's own conflict-replay
+ * cycles) are removed from `cycles` and reported in
+ * overlappedDrainCycles; per-bank traffic is untouched, so
+ * reads/writes match serial mode exactly. The saving is provably
+ * non-negative, so double-buffered never clocks slower than serial on
+ * the same waves.
  */
 SimResult
-simulateSequencePiece(const std::vector<WaveSpec> &waves,
+simulateSequencePiece(const std::vector<size_t> &ids,
+                      const std::vector<WaveClock> &clocks,
                       const SimConfig &cfg, PieceLink *link)
 {
-    validateSimConfig(cfg);
     SimResult total;
     total.glbBankReads.assign(static_cast<size_t>(cfg.glbBanks), 0);
     total.glbBankWrites.assign(static_cast<size_t>(cfg.glbBanks), 0);
@@ -441,10 +589,9 @@ simulateSequencePiece(const std::vector<WaveSpec> &waves,
     int64_t pending_words = 0;   // staged psums of the previous wave
     int64_t pending_serial = 0;  // their serial-mode drain cycles
     bool first = true;
-    for (const WaveSpec &wave : waves) {
-        WaveSideband sb;
-        const SimResult r = simulateWaveImpl(wave, cfg, &sb);
-        total.accumulate(r);
+    for (size_t id : ids) {
+        const WaveSideband &sb = clocks[id].sideband;
+        total.accumulate(clocks[id].result);
         if (cfg.doubleBufferOutputs) {
             const int64_t spare = std::max<int64_t>(
                 0, bank_bw * sb.computeCycles - sb.computeReads);
@@ -482,17 +629,19 @@ simulateSequencePiece(const std::vector<WaveSpec> &waves,
 }
 
 /**
- * Clock one (layer, phase) piece: the wave sequence plus its DRAM->GLB
+ * Chain one (layer, phase) piece: the wave sequence plus its DRAM->GLB
  * refill. Refill is double-buffered against the piece's whole
  * array-busy window (compute + drain + conflict replay, net of
  * internal overlap): only the excess demand surfaces as dramStallCycles
  * and extends `cycles`.
  */
 SimResult
-simulatePhasePiece(const std::vector<WaveSpec> &waves, double refill_words,
-                   const SimConfig &cfg, PieceLink *link)
+simulatePhasePiece(const std::vector<size_t> &ids,
+                   const std::vector<WaveClock> &clocks,
+                   double refill_words, const SimConfig &cfg,
+                   PieceLink *link)
 {
-    SimResult res = simulateSequencePiece(waves, cfg, link);
+    SimResult res = simulateSequencePiece(ids, clocks, cfg, link);
     if (cfg.dramWordsPerCycle > 0.0 && refill_words > 0.0) {
         const int64_t refill = static_cast<int64_t>(
             std::ceil(refill_words / cfg.dramWordsPerCycle));
@@ -503,6 +652,16 @@ simulatePhasePiece(const std::vector<WaveSpec> &waves, double refill_words,
     }
     return res;
 }
+
+} // namespace
+
+SimResult
+simulateWave(const WaveSpec &wave, const SimConfig &cfg)
+{
+    return simulateWaveImpl(wave, cfg, nullptr);
+}
+
+namespace {
 
 /**
  * Build the wave sequence for (layer, phase, mapping): the wave
@@ -636,7 +795,10 @@ SimResult
 simulateWaveSequence(const std::vector<WaveSpec> &waves,
                      const SimConfig &cfg)
 {
-    return simulateSequencePiece(waves, cfg, nullptr);
+    validateSimConfig(cfg);
+    std::vector<WaveClock> clocks;
+    const auto ids = clockDistinctWaves({&waves}, cfg, clocks);
+    return simulateSequencePiece(ids[0], clocks, cfg, nullptr);
 }
 
 SimResult
@@ -657,7 +819,19 @@ buildEpochWavePlan(const arch::EpochTrace &epoch, MappingKind mapping,
                    const arch::ArrayConfig &acfg,
                    arch::BalanceMode balance)
 {
+    return buildEpochWavePlan(epoch, arch::measuredProfiles(epoch), mapping,
+                              acfg, balance);
+}
+
+EpochWavePlan
+buildEpochWavePlan(const arch::EpochTrace &epoch,
+                   const std::vector<LayerSparsityProfile> &profiles,
+                   MappingKind mapping, const arch::ArrayConfig &acfg,
+                   arch::BalanceMode balance)
+{
     PROCRUSTES_ASSERT(epoch.batchSize > 0, "epoch has no batch size");
+    PROCRUSTES_ASSERT(profiles.size() == epoch.layers.size(),
+                      "one measured profile per traced layer");
     EpochWavePlan plan;
     plan.batchSize = epoch.batchSize;
 
@@ -676,8 +850,6 @@ buildEpochWavePlan(const arch::EpochTrace &epoch, MappingKind mapping,
     // Slot work comes from the epoch's measured profiles, the ones
     // Accelerator::evaluateTrace costs; refill words are the sparse
     // machine's DRAM words in the cost model's own accounting.
-    const std::vector<LayerSparsityProfile> profiles =
-        arch::measuredProfiles(epoch);
     const arch::CostModel sparse_model(acfg, arch::CostOptions{});
 
     // Each entry's geometry is a pure function of the epoch's measured
@@ -705,50 +877,45 @@ TraceSimResult
 simulateEpochPlan(const EpochWavePlan &plan, const SimConfig &scfg)
 {
     validateSimConfig(scfg);
-    const size_t n = plan.order.size();
     const int64_t bank_bw =
         static_cast<int64_t>(scfg.glbBanks) * scfg.glbBankPortsPerCycle;
-    std::vector<SimResult> piece(n);
-    std::vector<PieceLink> link(n);
+    std::vector<const std::vector<WaveSpec> *> seqs;
+    for (const PhaseWavePlan &e : plan.order)
+        seqs.push_back(&e.waves);
+    std::vector<WaveClock> clocks;
+    const auto ids = clockDistinctWaves(seqs, scfg, clocks);
 
-    // Each (layer, phase) piece is an independent pure function of
-    // (plan, scfg): simulate them in parallel, stitch in fixed order.
-    ThreadPool::global().parallelFor(
-        0, static_cast<int64_t>(n), [&](int64_t begin, int64_t end) {
-            for (int64_t i = begin; i < end; ++i) {
-                const auto idx = static_cast<size_t>(i);
-                piece[idx] = simulatePhasePiece(
-                    plan.order[idx].waves, plan.order[idx].refillWords,
-                    scfg, &link[idx]);
-            }
-        });
-
+    // Chain each (layer, phase) piece over its clocked waves and stitch
+    // the pieces in execution order.
     TraceSimResult out;
     int64_t tail_words = 0;   // previous piece's staged tail psums
     int64_t tail_flush = 0;   // their flush cycles, already counted
-    for (size_t i = 0; i < n; ++i) {
+    for (size_t i = 0; i < plan.order.size(); ++i) {
         const PhaseWavePlan &e = plan.order[i];
+        PieceLink link;
+        const SimResult piece =
+            simulatePhasePiece(ids[i], clocks, e.refillWords, scfg, &link);
         SimResult &bucket = e.phase == Phase::Forward
                                 ? out.fw
                                 : e.phase == Phase::Backward ? out.bw
                                                              : out.wu;
-        bucket.accumulate(piece[i]);
-        out.total.accumulate(piece[i]);
-        if (scfg.doubleBufferOutputs && link[i].hasWaves) {
+        bucket.accumulate(piece);
+        out.total.accumulate(piece);
+        if (scfg.doubleBufferOutputs && link.hasWaves) {
             // Boundary overlap: the previous piece's tail words hide
             // under this piece's first compute window (its spare GLB
             // write bandwidth, unused inside the piece); the refunded
             // flush cycles are attributed to `total` only — inside a
             // phase bucket the pieces are not adjacent in time.
             const int64_t hidden =
-                std::min(tail_words, link[i].headSpareWords);
+                std::min(tail_words, link.headSpareWords);
             const int64_t new_flush =
                 ceilDiv(tail_words - hidden, bank_bw);
             const int64_t credit = tail_flush - new_flush;
             out.total.cycles -= credit;
             out.total.overlappedDrainCycles += credit;
-            tail_words = link[i].tailWords;
-            tail_flush = link[i].tailFlushCycles;
+            tail_words = link.tailWords;
+            tail_flush = link.tailFlushCycles;
         }
     }
     return out;

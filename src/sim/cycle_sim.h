@@ -78,6 +78,18 @@
  * `overlappedDrainCycles`. With refill on, cycles additionally grow
  * by the exposed (non-overlapped) refill stall.
  *
+ * Distinct waves clock once. A wave's result is a pure function of
+ * (WaveSpec, SimConfig): its rolling GLB address starts at 0 and no
+ * state crosses waves. So simulateWaveSequence and simulateEpochPlan
+ * first intern their waves (hashed in full, every hit confirmed by
+ * full equality), clock each distinct wave exactly once, in parallel
+ * on the shared pool, and then chain the per-wave results (drain
+ * overlap, refill, cross-piece stitch) in arithmetic only. The cycle
+ * loop itself divides nothing: each PE keeps a consumed-word count per
+ * operand that advances as MACs retire, idle and finished PEs leave
+ * the MAC loop, per-bank GLB totals follow in closed form from the
+ * word count and the rolling start address, and so does the drain.
+ *
  * Entry points: simulateWave clocks one explicit WaveSpec;
  * simulateWaveSequence chains a sequence (with drain overlap when
  * enabled). simulateLayerPhase and simulateTraceEpoch build their
@@ -139,6 +151,10 @@ struct WaveSpec
     Channel channelOut = Channel::UnicastNet;
     std::vector<TileDemand> tiles;   //!< size rows*cols; idle PEs zeroed
 };
+
+/** Field-by-field equality; equal waves clock identically. */
+bool operator==(const TileDemand &a, const TileDemand &b);
+bool operator==(const WaveSpec &a, const WaveSpec &b);
 
 /**
  * Result of simulating one wave (or a sequence/epoch). See the file
@@ -345,6 +361,13 @@ EpochWavePlan buildEpochWavePlan(const arch::EpochTrace &epoch,
                                  arch::BalanceMode balance =
                                      arch::BalanceMode::HalfTile);
 
+/** As above, over the epoch's already built measuredProfiles. */
+EpochWavePlan buildEpochWavePlan(
+    const arch::EpochTrace &epoch,
+    const std::vector<arch::LayerSparsityProfile> &profiles,
+    arch::MappingKind mapping, const arch::ArrayConfig &acfg,
+    arch::BalanceMode balance = arch::BalanceMode::HalfTile);
+
 /** Cycle-level account of one traced epoch (one training iteration). */
 struct TraceSimResult
 {
@@ -396,9 +419,9 @@ struct TraceSimResult
  * phases at the trace's own batch size — one training iteration, the
  * same unit the analytic evaluateTrace reports. Equivalent to
  * buildEpochWavePlan + simulateEpochPlan. Deterministic: depends only
- * on the epoch's measured facts, never on thread count (the
- * (layer, phase) pieces simulate in parallel on the shared ThreadPool
- * and accumulate in fixed execution order).
+ * on the epoch's measured facts, never on thread count (the distinct
+ * waves clock in parallel on the shared ThreadPool, and the pieces
+ * accumulate in fixed execution order).
  */
 TraceSimResult simulateTraceEpoch(const arch::EpochTrace &epoch,
                                   arch::MappingKind mapping,

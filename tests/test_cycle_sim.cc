@@ -7,11 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "arch/accelerator.h"
 #include "arch/cost_model.h"
 #include "arch/workload_trace.h"
+#include "common/logging.h"
+#include "common/math_utils.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "kernels/backend.h"
@@ -954,6 +957,636 @@ TEST(TraceSim, ThreadSweepBitwiseIdenticalAcrossThreadCounts)
                       ref.dbSims[e].analyticCycleRatio)
                 << threads;
         }
+    }
+}
+
+// ---- differential test against the previous simulator ---------------
+
+/**
+ * The simulator as it was before distinct waves were clocked once and
+ * the cycle loop lost its divisions, kept verbatim as a test-only
+ * reference: every wave clocks on its own, per-cycle queue caps come
+ * from ceilDiv, the unicast scan wraps with %, banks are charged word
+ * by word, and the drain runs cycle by cycle. The current simulator
+ * must agree with it on every SimResult field and bank vector.
+ */
+namespace reference {
+
+size_t
+unicastRoundRobin(const std::vector<int64_t> &cap,
+                  std::vector<int64_t> &recv, int &budget, size_t cursor)
+{
+    const size_t n = cap.size();
+    if (n == 0)
+        return 0;
+    size_t next = cursor % n;
+    for (size_t step = 0; step < n && budget > 0; ++step) {
+        const size_t idx = (cursor + step) % n;
+        if (recv[idx] < cap[idx]) {
+            ++recv[idx];
+            --budget;
+            next = (idx + 1) % n;
+        }
+    }
+    return next;
+}
+
+/** True if the PE may retire one more MAC this cycle. */
+bool
+canIssue(const TileDemand &d, int64_t done, int64_t recv_a, int64_t recv_b)
+{
+    if (done >= d.macs)
+        return false;
+    // Operand words unlock MACs proportionally: word w of operand A
+    // enables MACs up to w * (macs / wordsA).
+    if (d.wordsA > 0 && done * d.wordsA >= recv_a * d.macs)
+        return false;
+    if (d.wordsB > 0 && done * d.wordsB >= recv_b * d.macs)
+        return false;
+    return true;
+}
+
+/**
+ * Most words a PE may have received: the queue holds `depth` words
+ * past the `consumed` point (the words its retired MACs have used up),
+ * never more than the full demand.
+ */
+int64_t
+deliveryCap(int64_t words, int64_t macs, int64_t done, int depth)
+{
+    if (depth <= 0 || macs <= 0)
+        return words;
+    const int64_t consumed = ceilDiv(done * words, macs);
+    return std::min(words, consumed + depth);
+}
+
+/**
+ * Deliver one multicast word along each row (or column) with a hungry,
+ * non-full PE; returns the number of lines that fired (one GLB word
+ * read per fired line).
+ */
+int64_t
+deliverBus(const WaveSpec &wave, const std::vector<int64_t> &cap,
+           std::vector<int64_t> &recv, bool row_major)
+{
+    const int outer = row_major ? wave.rows : wave.cols;
+    const int inner = row_major ? wave.cols : wave.rows;
+    int64_t fired = 0;
+    for (int o = 0; o < outer; ++o) {
+        bool any = false;
+        for (int i = 0; i < inner; ++i) {
+            const int r = row_major ? o : i;
+            const int c = row_major ? i : o;
+            const auto idx = static_cast<size_t>(r * wave.cols + c);
+            if (recv[idx] < cap[idx]) {
+                any = true;
+                break;
+            }
+        }
+        if (!any)
+            continue;
+        ++fired;
+        for (int i = 0; i < inner; ++i) {
+            const int r = row_major ? o : i;
+            const int c = row_major ? i : o;
+            const auto idx = static_cast<size_t>(r * wave.cols + c);
+            if (recv[idx] < cap[idx])
+                ++recv[idx];
+        }
+    }
+    return fired;
+}
+
+/** Deliver one broadcast word to every hungry, non-full PE. */
+int64_t
+deliverBroadcast(const std::vector<int64_t> &cap,
+                 std::vector<int64_t> &recv)
+{
+    int64_t fired = 0;
+    for (size_t idx = 0; idx < cap.size(); ++idx) {
+        if (recv[idx] < cap[idx]) {
+            ++recv[idx];
+            fired = 1;
+        }
+    }
+    return fired;
+}
+
+/**
+ * Move one operand's words for one cycle; returns words transmitted
+ * (= GLB reads). `uni_budget` is the cycle's remaining aggregate
+ * unicast bandwidth, shared across operands: when both operands ride
+ * the unicast network they split one budget instead of each spending
+ * the full configured bandwidth.
+ */
+int64_t
+deliverChannel(const WaveSpec &wave, const std::vector<int64_t> &cap,
+               std::vector<int64_t> &recv, Channel ch, int &uni_budget,
+               size_t &uni_cursor)
+{
+    switch (ch) {
+      case Channel::RowBus:
+        return deliverBus(wave, cap, recv, /*row_major=*/true);
+      case Channel::ColBus:
+        return deliverBus(wave, cap, recv, /*row_major=*/false);
+      case Channel::Broadcast:
+        return deliverBroadcast(cap, recv);
+      case Channel::UnicastNet: {
+        const int before = uni_budget;
+        uni_cursor = unicastRoundRobin(cap, recv, uni_budget, uni_cursor);
+        return before - uni_budget;
+      }
+    }
+    PANIC("unknown channel");
+}
+
+/**
+ * Per-wave facts the double-buffered drain accounting needs beyond
+ * SimResult: how much spare GLB write bandwidth the compute window
+ * left (reads have priority), and what the wave's own drain costs in
+ * serial mode (drain cycles plus the bank-conflict replay cycles the
+ * drain's writes caused).
+ */
+struct WaveSideband
+{
+    int64_t computeCycles = 0;
+    int64_t computeReads = 0;        //!< GLB reads during compute
+    int64_t drainWords = 0;          //!< psum words written
+    int64_t drainSerialCycles = 0;   //!< drainCycles + drain conflicts
+};
+
+SimResult
+simulateWaveImpl(const WaveSpec &wave, const SimConfig &cfg,
+                 WaveSideband *sb)
+{
+    PROCRUSTES_ASSERT(
+        wave.tiles.size() ==
+            static_cast<size_t>(wave.rows) * static_cast<size_t>(wave.cols),
+        "tile count mismatch");
+    validateSimConfig(cfg);
+    SimResult res;
+    const int64_t banks = cfg.glbBanks;
+    const int64_t bank_bw = banks * cfg.glbBankPortsPerCycle;
+    res.glbBankReads.assign(static_cast<size_t>(banks), 0);
+    res.glbBankWrites.assign(static_cast<size_t>(banks), 0);
+
+    const size_t n = wave.tiles.size();
+    std::vector<int64_t> macs_done(n, 0);
+    std::vector<int64_t> recv_a(n, 0);
+    std::vector<int64_t> recv_b(n, 0);
+    std::vector<int64_t> cap_a(n, 0);
+    std::vector<int64_t> cap_b(n, 0);
+    size_t uni_cursor = 0;
+    int64_t glb_addr = 0;   // rolling word address, interleaved on banks
+
+    // Charge one cycle's GLB accesses to banks; surplus beyond the
+    // aggregate bank bandwidth replays in appended stall cycles.
+    auto chargeGlb = [&](int64_t words, std::vector<int64_t> &per_bank) {
+        for (int64_t w = 0; w < words; ++w)
+            ++per_bank[static_cast<size_t>((glb_addr++) % banks)];
+        if (words > bank_bw) {
+            res.glbConflicts += words - bank_bw;
+            res.glbConflictCycles += ceilDiv(words, bank_bw) - 1;
+        }
+    };
+
+    int64_t remaining = 0;
+    for (const TileDemand &d : wave.tiles)
+        remaining += d.macs;
+
+    int64_t compute_reads = 0;
+    while (remaining > 0) {
+        PROCRUSTES_ASSERT(res.computeCycles < cfg.maxCycles,
+                          "wave exceeded cycle limit");
+        // Queue caps for this cycle; a hungry PE at its cap has a word
+        // withheld by backpressure.
+        for (size_t idx = 0; idx < n; ++idx) {
+            const TileDemand &d = wave.tiles[idx];
+            cap_a[idx] = deliveryCap(d.wordsA, d.macs, macs_done[idx],
+                                     cfg.peFifoDepth);
+            cap_b[idx] = deliveryCap(d.wordsB, d.macs, macs_done[idx],
+                                     cfg.peFifoDepth);
+            if (recv_a[idx] < d.wordsA && recv_a[idx] >= cap_a[idx])
+                ++res.fifoBackpressureCycles;
+            if (recv_b[idx] < d.wordsB && recv_b[idx] >= cap_b[idx])
+                ++res.fifoBackpressureCycles;
+        }
+
+        // Delivery happens first; a word arriving this cycle can feed
+        // a MAC this cycle (single-cycle forwarding). One unicast
+        // budget serves both operands.
+        int uni_budget = cfg.unicastWordsPerCycle;
+        int64_t words = deliverChannel(wave, cap_a, recv_a, wave.channelA,
+                                       uni_budget, uni_cursor);
+        words += deliverChannel(wave, cap_b, recv_b, wave.channelB,
+                                uni_budget, uni_cursor);
+        chargeGlb(words, res.glbBankReads);
+        compute_reads += words;
+
+        for (size_t idx = 0; idx < n; ++idx) {
+            const TileDemand &d = wave.tiles[idx];
+            if (macs_done[idx] >= d.macs)
+                continue;
+            if (canIssue(d, macs_done[idx], recv_a[idx], recv_b[idx])) {
+                ++macs_done[idx];
+                ++res.macsRetired;
+                --remaining;
+            } else {
+                ++res.stallCycles;
+            }
+        }
+        ++res.computeCycles;
+    }
+
+    // Drain partial sums through the output channel, one bandwidth-
+    // limited batch of GLB writes per cycle. The writes are charged to
+    // banks here regardless of drain mode, so the per-bank traffic
+    // image is identical in both modes: with double-buffered outputs
+    // the sequence layer re-times this drain (hiding it in the next
+    // wave's spare GLB write bandwidth) but never re-routes it — see
+    // simulateWaveSequence.
+    int64_t psum_words = 0;
+    for (const TileDemand &d : wave.tiles)
+        psum_words += d.psumWords;
+    const int64_t psum_total = psum_words;
+    const int64_t pre_drain_conflicts = res.glbConflictCycles;
+    int64_t drain_bw = 1;
+    switch (wave.channelOut) {
+      case Channel::RowBus:
+        drain_bw = wave.rows;
+        break;
+      case Channel::ColBus:
+        drain_bw = wave.cols;
+        break;
+      case Channel::Broadcast:
+        drain_bw = 1;
+        break;
+      case Channel::UnicastNet:
+        drain_bw = cfg.unicastWordsPerCycle;
+        break;
+    }
+    drain_bw = std::max<int64_t>(1, drain_bw);
+    while (psum_words > 0) {
+        const int64_t w = std::min(drain_bw, psum_words);
+        psum_words -= w;
+        ++res.drainCycles;
+        chargeGlb(w, res.glbBankWrites);
+    }
+
+    res.cycles = res.computeCycles + res.drainCycles + res.glbConflictCycles;
+    if (sb != nullptr) {
+        sb->computeCycles = res.computeCycles;
+        sb->computeReads = compute_reads;
+        sb->drainWords = psum_total;
+        sb->drainSerialCycles =
+            res.drainCycles +
+            (res.glbConflictCycles - pre_drain_conflicts);
+    }
+    return res;
+}
+
+/**
+ * What a clocked piece exposes so callers can continue the
+ * double-buffered drain chain across piece boundaries
+ * (simulateEpochPlan): the spare GLB write capacity of the FIRST
+ * wave's compute window (unused inside the piece — the first wave has
+ * no in-piece predecessor to drain), and the LAST wave's staged psum
+ * words together with the bank-bandwidth flush cycles for them that
+ * the piece's own cycle count already includes. A boundary can then
+ * hide some of those tail words under the next piece's head spare and
+ * refund the difference in flush cycles.
+ */
+struct PieceLink
+{
+    int64_t headSpareWords = 0;
+    int64_t tailWords = 0;
+    int64_t tailFlushCycles = 0;
+    bool hasWaves = false;
+};
+
+/**
+ * Clock a wave sequence, chaining the two-psum-buffer drain overlap
+ * when cfg.doubleBufferOutputs. At each wave boundary the finished
+ * wave's psums swap into the spare buffer and stream to the GLB
+ * through the write bandwidth the next wave's compute window leaves
+ * spare (operand reads have priority: spare = banks x ports x C_next
+ * minus the window's reads); words still pending when the window
+ * closes flush at the full aggregate bank bandwidth before the next
+ * swap. The cycles this saves versus the serial drain (drain cycles
+ * plus the drain's own conflict-replay cycles) are removed from
+ * `cycles` and reported in overlappedDrainCycles; per-bank traffic is
+ * untouched, so reads/writes match serial mode exactly. The saving is
+ * provably non-negative, so double-buffered never clocks slower than
+ * serial on the same waves.
+ */
+SimResult
+simulateSequencePiece(const std::vector<WaveSpec> &waves,
+                      const SimConfig &cfg, PieceLink *link)
+{
+    validateSimConfig(cfg);
+    SimResult total;
+    total.glbBankReads.assign(static_cast<size_t>(cfg.glbBanks), 0);
+    total.glbBankWrites.assign(static_cast<size_t>(cfg.glbBanks), 0);
+    const int64_t bank_bw =
+        static_cast<int64_t>(cfg.glbBanks) * cfg.glbBankPortsPerCycle;
+    int64_t pending_words = 0;   // staged psums of the previous wave
+    int64_t pending_serial = 0;  // their serial-mode drain cycles
+    bool first = true;
+    for (const WaveSpec &wave : waves) {
+        WaveSideband sb;
+        const SimResult r = simulateWaveImpl(wave, cfg, &sb);
+        total.accumulate(r);
+        if (cfg.doubleBufferOutputs) {
+            const int64_t spare = std::max<int64_t>(
+                0, bank_bw * sb.computeCycles - sb.computeReads);
+            if (first && link != nullptr)
+                link->headSpareWords = spare;
+            if (!first) {
+                const int64_t hidden = std::min(pending_words, spare);
+                const int64_t flush =
+                    ceilDiv(pending_words - hidden, bank_bw);
+                const int64_t saved = pending_serial - flush;
+                total.cycles -= saved;
+                total.overlappedDrainCycles += saved;
+            }
+            pending_words = sb.drainWords;
+            pending_serial = sb.drainSerialCycles;
+        }
+        first = false;
+    }
+    if (cfg.doubleBufferOutputs && !first) {
+        // Last wave: the array is idle, so the staging buffer flushes
+        // at the full bank bandwidth. The flush stays exposed here;
+        // piece-chaining callers may refund part of it at the boundary.
+        const int64_t flush = ceilDiv(pending_words, bank_bw);
+        const int64_t saved = pending_serial - flush;
+        total.cycles -= saved;
+        total.overlappedDrainCycles += saved;
+        if (link != nullptr) {
+            link->tailWords = pending_words;
+            link->tailFlushCycles = flush;
+        }
+    }
+    if (link != nullptr)
+        link->hasWaves = !first;
+    return total;
+}
+
+/**
+ * Clock one (layer, phase) piece: the wave sequence plus its DRAM->GLB
+ * refill. Refill is double-buffered against the piece's whole
+ * array-busy window (compute + drain + conflict replay, net of
+ * internal overlap): only the excess demand surfaces as dramStallCycles
+ * and extends `cycles`.
+ */
+SimResult
+simulatePhasePiece(const std::vector<WaveSpec> &waves, double refill_words,
+                   const SimConfig &cfg, PieceLink *link)
+{
+    SimResult res = simulateSequencePiece(waves, cfg, link);
+    if (cfg.dramWordsPerCycle > 0.0 && refill_words > 0.0) {
+        const int64_t refill = static_cast<int64_t>(
+            std::ceil(refill_words / cfg.dramWordsPerCycle));
+        res.dramRefillCycles += refill;
+        const int64_t stall = std::max<int64_t>(0, refill - res.cycles);
+        res.dramStallCycles += stall;
+        res.cycles += stall;
+    }
+    return res;
+}
+
+TraceSimResult
+simulateEpochPlan(const EpochWavePlan &plan, const SimConfig &scfg)
+{
+    validateSimConfig(scfg);
+    const size_t n = plan.order.size();
+    const int64_t bank_bw =
+        static_cast<int64_t>(scfg.glbBanks) * scfg.glbBankPortsPerCycle;
+    std::vector<SimResult> piece(n);
+    std::vector<PieceLink> link(n);
+
+    // Each (layer, phase) piece is an independent pure function of
+    // (plan, scfg): simulate them in parallel, stitch in fixed order.
+    ThreadPool::global().parallelFor(
+        0, static_cast<int64_t>(n), [&](int64_t begin, int64_t end) {
+            for (int64_t i = begin; i < end; ++i) {
+                const auto idx = static_cast<size_t>(i);
+                piece[idx] = simulatePhasePiece(
+                    plan.order[idx].waves, plan.order[idx].refillWords,
+                    scfg, &link[idx]);
+            }
+        });
+
+    TraceSimResult out;
+    int64_t tail_words = 0;   // previous piece's staged tail psums
+    int64_t tail_flush = 0;   // their flush cycles, already counted
+    for (size_t i = 0; i < n; ++i) {
+        const PhaseWavePlan &e = plan.order[i];
+        SimResult &bucket = e.phase == Phase::Forward
+                                ? out.fw
+                                : e.phase == Phase::Backward ? out.bw
+                                                             : out.wu;
+        bucket.accumulate(piece[i]);
+        out.total.accumulate(piece[i]);
+        if (scfg.doubleBufferOutputs && link[i].hasWaves) {
+            // Boundary overlap: the previous piece's tail words hide
+            // under this piece's first compute window (its spare GLB
+            // write bandwidth, unused inside the piece); the refunded
+            // flush cycles are attributed to `total` only — inside a
+            // phase bucket the pieces are not adjacent in time.
+            const int64_t hidden =
+                std::min(tail_words, link[i].headSpareWords);
+            const int64_t new_flush =
+                ceilDiv(tail_words - hidden, bank_bw);
+            const int64_t credit = tail_flush - new_flush;
+            out.total.cycles -= credit;
+            out.total.overlappedDrainCycles += credit;
+            tail_words = link[i].tailWords;
+            tail_flush = link[i].tailFlushCycles;
+        }
+    }
+    return out;
+}
+
+} // namespace reference
+
+void
+expectSameResult(const SimResult &got, const SimResult &want,
+                 const std::string &where)
+{
+    EXPECT_EQ(got.cycles, want.cycles) << where;
+    EXPECT_EQ(got.computeCycles, want.computeCycles) << where;
+    EXPECT_EQ(got.stallCycles, want.stallCycles) << where;
+    EXPECT_EQ(got.macsRetired, want.macsRetired) << where;
+    EXPECT_EQ(got.drainCycles, want.drainCycles) << where;
+    EXPECT_EQ(got.overlappedDrainCycles, want.overlappedDrainCycles)
+        << where;
+    EXPECT_EQ(got.glbConflictCycles, want.glbConflictCycles) << where;
+    EXPECT_EQ(got.glbConflicts, want.glbConflicts) << where;
+    EXPECT_EQ(got.fifoBackpressureCycles, want.fifoBackpressureCycles)
+        << where;
+    EXPECT_EQ(got.dramRefillCycles, want.dramRefillCycles) << where;
+    EXPECT_EQ(got.dramStallCycles, want.dramStallCycles) << where;
+    EXPECT_EQ(got.glbBankReads, want.glbBankReads) << where;
+    EXPECT_EQ(got.glbBankWrites, want.glbBankWrites) << where;
+}
+
+constexpr Channel kChannels[] = {Channel::RowBus, Channel::ColBus,
+                                 Channel::Broadcast, Channel::UnicastNet};
+
+/**
+ * A random wave: any channel for A, B and the output; some idle tiles;
+ * operand words from none up to twice the MACs (words > macs lets a
+ * PE finish while still hungry); now and then words on a PE with no
+ * MACs at all.
+ */
+WaveSpec
+randomWave(Xorshift128Plus &rng)
+{
+    auto below = [&rng](uint64_t n) {
+        return static_cast<int64_t>(rng.nextBounded(n));
+    };
+    WaveSpec w;
+    w.rows = 1 + static_cast<int>(below(5));
+    w.cols = 1 + static_cast<int>(below(5));
+    w.channelA = kChannels[below(4)];
+    w.channelB = kChannels[below(4)];
+    w.channelOut = kChannels[below(4)];
+    w.tiles.resize(static_cast<size_t>(w.rows) * w.cols);
+    for (TileDemand &d : w.tiles) {
+        const int64_t kind = below(10);
+        if (kind < 2)
+            continue;   // idle
+        if (kind == 2) {
+            d.wordsA = below(4);
+            d.wordsB = below(4);
+            continue;   // no MACs, but words to deliver
+        }
+        d.macs = 1 + below(40);
+        d.wordsA = below(2 * d.macs + 1);
+        d.wordsB = below(2 * d.macs + 1);
+        d.psumWords = below(12);
+    }
+    return w;
+}
+
+/**
+ * A sequence that repeats waves and holds near-duplicates: copies of
+ * one wave with a single tile's psumWords changed, or with channelOut
+ * changed. A memo keyed on less than the whole WaveSpec reuses the
+ * wrong result for those.
+ */
+std::vector<WaveSpec>
+randomSequence(Xorshift128Plus &rng)
+{
+    std::vector<WaveSpec> seq;
+    const WaveSpec base = randomWave(rng);
+    WaveSpec psum_twin = base;
+    psum_twin.tiles[rng.nextBounded(psum_twin.tiles.size())].psumWords +=
+        1 + static_cast<int64_t>(rng.nextBounded(30));
+    WaveSpec out_twin = base;
+    out_twin.channelOut = out_twin.channelOut == Channel::Broadcast
+                              ? Channel::UnicastNet
+                              : Channel::Broadcast;
+    const WaveSpec other = randomWave(rng);
+    const WaveSpec *pool[] = {&base, &psum_twin, &out_twin, &other};
+    const int64_t len = 1 + static_cast<int64_t>(rng.nextBounded(7));
+    for (int64_t i = 0; i < len; ++i)
+        seq.push_back(*pool[rng.nextBounded(4)]);
+    return seq;
+}
+
+/** The knob grid of the sweep: 144 configurations. */
+std::vector<SimConfig>
+sweepConfigs()
+{
+    std::vector<SimConfig> cfgs;
+    for (int depth : {0, 1, 2, 8}) {
+        for (int uni : {1, 3, 16}) {
+            for (int banks : {1, 3, 64}) {
+                for (int ports : {1, 2}) {
+                    for (bool db : {false, true}) {
+                        SimConfig c;
+                        c.peFifoDepth = depth;
+                        c.unicastWordsPerCycle = uni;
+                        c.glbBanks = banks;
+                        c.glbBankPortsPerCycle = ports;
+                        c.doubleBufferOutputs = db;
+                        cfgs.push_back(c);
+                    }
+                }
+            }
+        }
+    }
+    return cfgs;
+}
+
+std::string
+describe(const SimConfig &c, int trial)
+{
+    return "depth=" + std::to_string(c.peFifoDepth) +
+           " uni=" + std::to_string(c.unicastWordsPerCycle) +
+           " banks=" + std::to_string(c.glbBanks) +
+           " ports=" + std::to_string(c.glbBankPortsPerCycle) +
+           " db=" + std::to_string(c.doubleBufferOutputs) +
+           " dram=" + std::to_string(c.dramWordsPerCycle) +
+           " trial=" + std::to_string(trial);
+}
+
+TEST(CycleSimDifferential, WavesAndSequencesMatchReference)
+{
+    Xorshift128Plus rng(20261020);
+    for (const SimConfig &cfg : sweepConfigs()) {
+        for (int trial = 0; trial < 5; ++trial) {
+            const std::vector<WaveSpec> seq = randomSequence(rng);
+            const std::string where = describe(cfg, trial);
+            expectSameResult(simulateWaveSequence(seq, cfg),
+                             reference::simulateSequencePiece(seq, cfg,
+                                                              nullptr),
+                             where);
+            for (const WaveSpec &w : seq) {
+                expectSameResult(
+                    simulateWave(w, cfg),
+                    reference::simulateWaveImpl(w, cfg, nullptr), where);
+            }
+        }
+    }
+}
+
+TEST(CycleSimDifferential, EpochPlansMatchReference)
+{
+    // Pieces share waves across (layer, phase) boundaries, some pieces
+    // are empty, and refill is on for half the configurations, so the
+    // epoch-wide memo, the drain-overlap chain, the refill and the
+    // cross-piece stitch are all compared.
+    Xorshift128Plus rng(7);
+    int trial = 0;
+    for (SimConfig cfg : sweepConfigs()) {
+        cfg.dramWordsPerCycle = (trial % 2 == 0) ? 0.0 : 0.5;
+        EpochWavePlan plan;
+        plan.batchSize = 4;
+        std::vector<WaveSpec> shared = randomSequence(rng);
+        const int64_t pieces = 1 + static_cast<int64_t>(rng.nextBounded(6));
+        for (int64_t p = 0; p < pieces; ++p) {
+            PhaseWavePlan e;
+            e.layerIndex = static_cast<size_t>(p);
+            e.phase = static_cast<Phase>(rng.nextBounded(3));
+            const uint64_t kind = rng.nextBounded(4);
+            if (kind == 0)
+                e.waves = shared;
+            else if (kind != 1)
+                e.waves = randomSequence(rng);
+            e.refillWords = static_cast<double>(rng.nextBounded(4000));
+            plan.order.push_back(std::move(e));
+        }
+        const TraceSimResult got = simulateEpochPlan(plan, cfg);
+        const TraceSimResult want =
+            reference::simulateEpochPlan(plan, cfg);
+        const std::string where = describe(cfg, trial++);
+        expectSameResult(got.total, want.total, "total " + where);
+        expectSameResult(got.fw, want.fw, "fw " + where);
+        expectSameResult(got.bw, want.bw, "bw " + where);
+        expectSameResult(got.wu, want.wu, "wu " + where);
     }
 }
 

@@ -134,6 +134,31 @@ TEST(ReLU, ClampsAndTracksSparsity)
     EXPECT_DOUBLE_EQ(relu.lastOutputSparsity(), 0.75);
 }
 
+TEST(ReLU, NegativeZeroAndNanGivePositiveZero)
+{
+    // Every non-positive input, -0 and NaN included, maps to +0 with a
+    // zero mask; the output bits, not just the values, are fixed.
+    ReLU relu("r");
+    Tensor x(Shape{1, 1, 1, 5});
+    x(0, 0, 0, 0) = -0.0f;
+    x(0, 0, 0, 1) = std::nanf("");
+    x(0, 0, 0, 2) = -std::nanf("");
+    x(0, 0, 0, 3) = 0.5f;
+    x(0, 0, 0, 4) = -2.0f;
+    const Tensor y = relu.forward(x, true);
+    for (int i : {0, 1, 2, 4}) {
+        EXPECT_EQ(y(0, 0, 0, i), 0.0f);
+        EXPECT_FALSE(std::signbit(y(0, 0, 0, i))) << i;
+    }
+    EXPECT_EQ(y(0, 0, 0, 3), 0.5f);
+    EXPECT_DOUBLE_EQ(relu.lastOutputSparsity(), 0.8);
+    Tensor dy(Shape{1, 1, 1, 5});
+    dy.fill(1.0f);
+    const Tensor dx = relu.backward(dy);
+    for (int i = 0; i < 5; ++i)
+        EXPECT_EQ(dx(0, 0, 0, i), i == 3 ? 1.0f : 0.0f) << i;
+}
+
 TEST(ReLU, BackwardMasksGradient)
 {
     ReLU relu("r");
