@@ -282,16 +282,14 @@ measuredNetwork(const EpochTrace &epoch)
 std::vector<LayerSparsityProfile>
 measuredProfiles(const EpochTrace &epoch)
 {
-    // Summarising the masks is the costly part; layers are independent.
+    // Summarising the masks is the costly part; layers are independent
+    // and differ a lot in size, so each is its own claim.
     std::vector<LayerSparsityProfile> out(epoch.layers.size());
-    ThreadPool::global().parallelFor(
-        0, static_cast<int64_t>(out.size()),
-        [&](int64_t begin, int64_t end) {
-            for (int64_t i = begin; i < end; ++i) {
-                const LayerTrace &l = epoch.layers[static_cast<size_t>(i)];
-                out[static_cast<size_t>(i)] = LayerSparsityProfile::measured(
-                    l.mask, l.iacts, l.shape.stride);
-            }
+    ThreadPool::global().parallelForEach(
+        0, static_cast<int64_t>(out.size()), [&](int64_t i) {
+            const LayerTrace &l = epoch.layers[static_cast<size_t>(i)];
+            out[static_cast<size_t>(i)] = LayerSparsityProfile::measured(
+                l.mask, l.iacts, l.shape.stride);
         });
     return out;
 }

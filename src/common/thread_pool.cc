@@ -129,11 +129,41 @@ ThreadPool::parallelFor(int64_t begin, int64_t end,
         return;
     const int64_t n = end - begin;
     grain = std::max<int64_t>(1, grain);
+    // ~4 chunks per thread for load balance without cursor contention,
+    // rounded up to a grain multiple: callers pass their tile size as
+    // the grain, so chunk boundaries never split a tile and the work
+    // decomposition — hence the fp reduction pattern — is identical
+    // for every thread count.
+    int64_t chunk = std::max(
+        grain, (n + numThreads() * 4 - 1) / (numThreads() * 4));
+    chunk = (chunk + grain - 1) / grain * grain;
+    runJob(begin, end, body, chunk);
+}
+
+void
+ThreadPool::parallelForEach(int64_t begin, int64_t end,
+                            const std::function<void(int64_t)> &body)
+{
+    runJob(begin, end,
+           [&body](int64_t b, int64_t e) {
+               for (int64_t i = b; i < e; ++i)
+                   body(i);
+           },
+           /*chunk=*/1);
+}
+
+void
+ThreadPool::runJob(int64_t begin, int64_t end,
+                   const std::function<void(int64_t, int64_t)> &body,
+                   int64_t chunk)
+{
+    if (end <= begin)
+        return;
     Shared &sh = *shared_;
-    // Serial fast paths: tiny ranges, no workers, a nested call from
-    // inside a chunk (the outer job's threads are all busy here), or a
-    // forked child (the workers stayed in the parent).
-    if (sh.workers.empty() || n <= grain || t_inside_pool ||
+    // Serial fast paths: a range of one chunk, no workers, a nested
+    // call from inside a chunk (the outer job's threads are all busy
+    // here), or a forked child (the workers stayed in the parent).
+    if (sh.workers.empty() || end - begin <= chunk || t_inside_pool ||
         forkedAway()) {
         body(begin, end);
         return;
@@ -151,17 +181,9 @@ ThreadPool::parallelFor(int64_t begin, int64_t end,
     auto job = std::make_shared<Job>();
     job->body = &body;
     job->end = end;
-    // ~4 chunks per thread for load balance without cursor contention,
-    // rounded up to a grain multiple: callers pass their tile size as
-    // the grain, so chunk boundaries never split a tile and the work
-    // decomposition — hence the fp reduction pattern — is identical
-    // for every thread count.
-    int64_t chunk = std::max(
-        grain, (n + numThreads() * 4 - 1) / (numThreads() * 4));
-    chunk = (chunk + grain - 1) / grain * grain;
     job->chunk = chunk;
     job->next.store(begin, std::memory_order_relaxed);
-    job->remaining.store(n, std::memory_order_relaxed);
+    job->remaining.store(end - begin, std::memory_order_relaxed);
 
     {
         std::lock_guard<std::mutex> lock(sh.mu);

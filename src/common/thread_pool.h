@@ -71,6 +71,17 @@ class ThreadPool
                      const std::function<void(int64_t, int64_t)> &body,
                      int64_t grain = 1);
 
+    /**
+     * Run body(i) for every i in [begin, end), one item per claim: each
+     * thread takes the next unclaimed index from a shared cursor until
+     * none is left. For few items of very different cost (ordered
+     * longest first by the caller), where the chunks of parallelFor
+     * would hand one thread a run of the longest ones. Inline in the
+     * same cases as parallelFor.
+     */
+    void parallelForEach(int64_t begin, int64_t end,
+                         const std::function<void(int64_t)> &body);
+
     /** Process-wide shared pool, created on first use. */
     static ThreadPool &global();
 
@@ -114,6 +125,11 @@ class ThreadPool
     };
 
     void workerLoop();
+
+    /** Run body over [begin, end) in claims of `chunk` elements. */
+    void runJob(int64_t begin, int64_t end,
+                const std::function<void(int64_t, int64_t)> &body,
+                int64_t chunk);
 
     /** Claim and run chunks until the job's cursor is exhausted. */
     void runChunks(Job &job);

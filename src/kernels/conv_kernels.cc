@@ -61,8 +61,8 @@ convForwardGemm(const Tensor &x, const Tensor &w, const Tensor *bias,
         float *yn = py + in * g.k * pq;
         // Explicit-pool overload: no global-pool lookup per image; the
         // nested call runs serially inside a worker either way.
-        gemm(g.k, pq, crs, pw, crs, col, pq, yn, pq,
-             /*accumulate=*/false, &pool);
+        gemm(Trans::kNo, Trans::kNo, g.k, pq, crs, pw, crs, col, pq, yn,
+             pq, /*accumulate=*/false, &pool);
         if (pb) {
             for (int64_t ok = 0; ok < g.k; ++ok) {
                 const float b = pb[ok];
@@ -109,11 +109,6 @@ convBackwardGemm(const Tensor &x, const Tensor &w, const Tensor &dy,
 
     Tensor dx(x.shape());
 
-    // The backward filter view: one transpose serves every image.
-    ScratchArena::Buffer wt = ScratchArena::global().acquire(
-        static_cast<size_t>(crs * g.k));
-    transpose(w.data(), g.k, crs, wt.data());
-
     // Per-image dW / db partials. Whichever task computes image `in`
     // writes slice `in`, and the reduction walks images in index order
     // — so the accumulation order per dW element is fixed for every
@@ -137,6 +132,7 @@ convBackwardGemm(const Tensor &x, const Tensor &w, const Tensor &dy,
     }
 
     const float *px = x.data();
+    const float *pw = w.data();
     const float *pdy = dy.data();
     float *pdx = dx.data();
     float *pdw_part = dw_part.data();
@@ -150,18 +146,17 @@ convBackwardGemm(const Tensor &x, const Tensor &w, const Tensor &dy,
     const int64_t chw = g.c * g.h * g.w;
     // `slot` is the image's index within its group (its partial slice).
     auto backwardImage = [&](int64_t in, int64_t slot, float *col,
-                             float *colt, float *dcol) {
+                             float *dcol) {
         const float *dyn = pdy + in * g.k * pq;
 
         // Weight-update pass: partial dW_n = dY_n * col(X_n)^T.
         im2col(px + in * chw, g, col);
-        transpose(col, crs, pq, colt);
-        gemm(g.k, crs, pq, dyn, pq, colt, crs, pdw_part + slot * kcrs,
-             crs, /*accumulate=*/false, &pool);
+        gemm(Trans::kNo, Trans::kYes, g.k, crs, pq, dyn, pq, col, pq,
+             pdw_part + slot * kcrs, crs, /*accumulate=*/false, &pool);
 
         // Backward (data) pass: dX_n = col2im(W^T * dY_n).
-        gemm(crs, pq, g.k, wt.data(), g.k, dyn, pq, dcol, pq,
-             /*accumulate=*/false, &pool);
+        gemm(Trans::kYes, Trans::kNo, crs, pq, g.k, pw, crs, dyn, pq, dcol,
+             pq, /*accumulate=*/false, &pool);
         col2im(dcol, g, pdx + in * chw);
 
         if (pdb_part) {
@@ -176,11 +171,10 @@ convBackwardGemm(const Tensor &x, const Tensor &w, const Tensor &dy,
     };
 
     // Serial path reuses one workspace across all groups.
-    ScratchArena::Buffer scol, scolt, sdcol;
+    ScratchArena::Buffer scol, sdcol;
     if (!batch_parallel) {
         ScratchArena &arena = ScratchArena::global();
         scol = arena.acquire(static_cast<size_t>(crs * pq));
-        scolt = arena.acquire(static_cast<size_t>(pq * crs));
         sdcol = arena.acquire(static_cast<size_t>(crs * pq));
     }
 
@@ -192,18 +186,14 @@ convBackwardGemm(const Tensor &x, const Tensor &w, const Tensor &dy,
                 ScratchArena &arena = ScratchArena::global();
                 ScratchArena::Buffer col =
                     arena.acquire(static_cast<size_t>(crs * pq));
-                ScratchArena::Buffer colt =
-                    arena.acquire(static_cast<size_t>(pq * crs));
                 ScratchArena::Buffer dcol =
                     arena.acquire(static_cast<size_t>(crs * pq));
                 for (int64_t in = n0; in < n1; ++in)
-                    backwardImage(in, in - base, col.data(),
-                                  colt.data(), dcol.data());
+                    backwardImage(in, in - base, col.data(), dcol.data());
             });
         } else {
             for (int64_t in = base; in < hi; ++in)
-                backwardImage(in, in - base, scol.data(), scolt.data(),
-                              sdcol.data());
+                backwardImage(in, in - base, scol.data(), sdcol.data());
         }
 
         // Ordered reduction: every dW element sums this group's

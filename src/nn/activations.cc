@@ -1,5 +1,7 @@
 #include "nn/activations.h"
 
+#include "common/vec8.h"
+
 namespace procrustes {
 namespace nn {
 
@@ -12,10 +14,24 @@ ReLU::forward(const Tensor &x, bool)
     float *py = y.data();
     float *pm = mask_.data();
     const int64_t n = x.numel();
-    int64_t zeros = 0;
-    // Branchless: every element is written, so the loop vectorizes.
-    // Non-positive inputs (-0 and NaN included) give +0, as before.
-    for (int64_t i = 0; i < n; ++i) {
+    // Branchless and written over Vec8, so it is vectorized at -O2.
+    // Non-positive inputs (-0 and NaN included) give +0.
+    const Vec8 zero = {};
+    const Vec8 one = zero + 1.0f;
+    Vec8i live = {};   // per lane: minus the count of positive inputs
+    int64_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        Vec8 v;
+        load8(v, px + i);
+        const Vec8i pos = v > zero;   // all-ones where positive
+        store8(py + i, pos ? v : zero);
+        store8(pm + i, pos ? one : zero);
+        live += pos;
+    }
+    int64_t zeros = i;
+    for (int lane = 0; lane < 8; ++lane)
+        zeros += live[lane];
+    for (; i < n; ++i) {
         const bool pos = px[i] > 0.0f;
         py[i] = pos ? px[i] : 0.0f;
         pm[i] = pos ? 1.0f : 0.0f;

@@ -3,6 +3,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "kernels/gemm.h"
 #include "sparse/sparse_linear.h"
 
@@ -204,14 +205,13 @@ Linear::forwardGemm(const Tensor &x)
     const int64_t n = x.shape()[0];
     Tensor y(Shape{n, outFeatures_});
 
-    // y = x * W^T: materialize W^T once so the GEMM streams unit-stride
-    // (member scratch avoids a per-batch allocation; const reads avoid
-    // COW detaches).
-    wtScratch_.resize(static_cast<size_t>(inFeatures_ * outFeatures_));
-    kernels::transpose(std::as_const(weight_.value).data(), outFeatures_,
-                       inFeatures_, wtScratch_.data());
-    kernels::gemm(n, outFeatures_, inFeatures_, x.data(),
-                  wtScratch_.data(), y.data(), /*accumulate=*/false);
+    // y = x * W^T: the GEMM packs W^T straight from W (const reads
+    // avoid COW detaches).
+    kernels::gemm(kernels::Trans::kNo, kernels::Trans::kYes, n,
+                  outFeatures_, inFeatures_, x.data(), inFeatures_,
+                  std::as_const(weight_.value).data(), inFeatures_,
+                  y.data(), outFeatures_, /*accumulate=*/false,
+                  &ThreadPool::global());
 
     if (hasBias_)
         addBias(&y);
@@ -231,11 +231,11 @@ Linear::backwardGemm(const Tensor &dy)
 
     // dW += dy^T * x. The cached input is read through a const view so
     // the COW alias never detaches into a deep copy here.
-    dytScratch_.resize(static_cast<size_t>(n * outFeatures_));
-    kernels::transpose(dy.data(), n, outFeatures_, dytScratch_.data());
-    kernels::gemm(outFeatures_, inFeatures_, n, dytScratch_.data(),
-                  std::as_const(cachedInput_).data(),
-                  weight_.grad.data(), /*accumulate=*/true);
+    kernels::gemm(kernels::Trans::kYes, kernels::Trans::kNo, outFeatures_,
+                  inFeatures_, n, dy.data(), outFeatures_,
+                  std::as_const(cachedInput_).data(), inFeatures_,
+                  weight_.grad.data(), inFeatures_, /*accumulate=*/true,
+                  &ThreadPool::global());
 
     if (hasBias_)
         accumulateBiasGrad(dy);

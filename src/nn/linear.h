@@ -116,8 +116,6 @@ class Linear : public Layer
     bool csbValid_ = false;
     Precision storagePrecision_ = defaultStoragePrecision();
     bool backwardSeen_ = false;
-    std::vector<float> wtScratch_;    //!< W^T staging, reused per call
-    std::vector<float> dytScratch_;   //!< dy^T staging, reused per call
 
     /** @name Step telemetry captured by forward/backward (kSparse). */
     /**@{*/

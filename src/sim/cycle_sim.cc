@@ -1,7 +1,6 @@
 #include "sim/cycle_sim.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <numeric>
 #include <unordered_map>
@@ -525,19 +524,15 @@ clockDistinctWaves(const std::vector<const std::vector<WaveSpec> *> &seqs,
         return longest[x] > longest[y];
     });
 
-    // One task per pool thread, each taking the next-longest wave
-    // until none is left: the pool's own chunking would hand one
-    // thread a run of the longest waves.
+    // Each free thread takes the next-longest wave: chunks of the
+    // sorted order would hand one thread a run of the longest waves.
     clocks.assign(distinct.size(), WaveClock{});
-    std::atomic<size_t> next{0};
-    ThreadPool &pool = ThreadPool::global();
-    pool.parallelFor(0, pool.numThreads(), [&](int64_t, int64_t) {
-        for (size_t k = next++; k < order.size(); k = next++) {
-            WaveClock &c = clocks[order[k]];
-            c.result = simulateWaveImpl(*distinct[order[k]], cfg,
-                                        &c.sideband);
-        }
-    });
+    ThreadPool::global().parallelForEach(
+        0, static_cast<int64_t>(order.size()), [&](int64_t k) {
+            const size_t d = order[static_cast<size_t>(k)];
+            clocks[d].result =
+                simulateWaveImpl(*distinct[d], cfg, &clocks[d].sideband);
+        });
     return ids;
 }
 
@@ -853,22 +848,18 @@ buildEpochWavePlan(const arch::EpochTrace &epoch,
     const arch::CostModel sparse_model(acfg, arch::CostOptions{});
 
     // Each entry's geometry is a pure function of the epoch's measured
-    // facts — build them in parallel; indices fix the order.
-    ThreadPool::global().parallelFor(
-        0, static_cast<int64_t>(plan.order.size()),
-        [&](int64_t begin, int64_t end) {
-            for (int64_t i = begin; i < end; ++i) {
-                PhaseWavePlan &e = plan.order[static_cast<size_t>(i)];
-                const LayerTrace &layer = epoch.layers[e.layerIndex];
-                const LayerSparsityProfile &profile =
-                    profiles[e.layerIndex];
-                e.waves = buildWaves(layer.shape, e.phase, mapping,
-                                     epoch.batchSize, acfg, balance,
-                                     profile);
-                e.refillWords = sparse_model.dramWords(
-                    layer.shape, e.phase, profile, epoch.batchSize,
-                    layer.measuredStats(e.phase, /*sparse=*/true));
-            }
+    // facts — build them in parallel, one entry per claim (their sizes
+    // differ a lot); indices fix the order.
+    ThreadPool::global().parallelForEach(
+        0, static_cast<int64_t>(plan.order.size()), [&](int64_t i) {
+            PhaseWavePlan &e = plan.order[static_cast<size_t>(i)];
+            const LayerTrace &layer = epoch.layers[e.layerIndex];
+            const LayerSparsityProfile &profile = profiles[e.layerIndex];
+            e.waves = buildWaves(layer.shape, e.phase, mapping,
+                                 epoch.batchSize, acfg, balance, profile);
+            e.refillWords = sparse_model.dramWords(
+                layer.shape, e.phase, profile, epoch.batchSize,
+                layer.measuredStats(e.phase, /*sparse=*/true));
         });
     return plan;
 }

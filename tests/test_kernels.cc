@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "common/scratch_arena.h"
 #include "common/thread_pool.h"
 #include "kernels/backend.h"
+#include "kernels/conv_kernels.h"
 #include "kernels/gemm.h"
 #include "kernels/im2col.h"
 #include "nn/conv2d.h"
@@ -100,13 +103,15 @@ TEST(Gemm, ThreadCountInvariant)
             v = static_cast<float>(rng.nextGaussian());
 
         std::vector<float> ref(static_cast<size_t>(m * n));
-        kernels::gemm(m, n, k, a.data(), k, b.data(), n, ref.data(), n,
+        kernels::gemm(kernels::Trans::kNo, kernels::Trans::kNo, m, n, k,
+                      a.data(), k, b.data(), n, ref.data(), n,
                       /*accumulate=*/false, nullptr);
         for (int threads : {1, 2, 3, 4}) {
             ThreadPool pool(threads);
             std::vector<float> c(static_cast<size_t>(m * n));
-            kernels::gemm(m, n, k, a.data(), k, b.data(), n, c.data(),
-                          n, /*accumulate=*/false, &pool);
+            kernels::gemm(kernels::Trans::kNo, kernels::Trans::kNo, m, n,
+                          k, a.data(), k, b.data(), n, c.data(), n,
+                          /*accumulate=*/false, &pool);
             // Row panels partition C on tile boundaries, so the
             // reduction order per element is identical: results must
             // match bitwise, not just approximately.
@@ -117,23 +122,264 @@ TEST(Gemm, ThreadCountInvariant)
     }
 }
 
-TEST(Transpose, RoundTrip)
+// ------------------------------------------- GEMM differential suite
+//
+// The previous GEMM kernel, kept verbatim as a test-only reference: a
+// 4x16 tile over element-wise accumulator arrays, reading A and B in
+// place through their leading dimensions. The packed register-tiled
+// kernel must reproduce it bit for bit — both take one multiply-add per
+// p, in ascending p, over the same 256-deep k-slabs.
+
+namespace ref {
+
+constexpr int64_t kMr = 4;
+constexpr int64_t kNr = 16;
+constexpr int64_t kKc = 256;
+constexpr int64_t kNc = 512;
+
+inline void
+micro4x16(int64_t kc, const float *a, int64_t lda, const float *b,
+          int64_t ldb, float *c, int64_t ldc, bool first)
 {
-    const int64_t rows = 37, cols = 53;
-    Xorshift128Plus rng(31);
-    std::vector<float> a(static_cast<size_t>(rows * cols));
-    for (auto &v : a)
-        v = static_cast<float>(rng.nextGaussian());
-    std::vector<float> at(a.size());
-    std::vector<float> back(a.size());
-    kernels::transpose(a.data(), rows, cols, at.data());
+    float acc[kMr][kNr];
+    if (first) {
+        std::memset(acc, 0, sizeof(acc));
+    } else {
+        for (int64_t i = 0; i < kMr; ++i) {
+            for (int64_t j = 0; j < kNr; ++j)
+                acc[i][j] = c[i * ldc + j];
+        }
+    }
+    for (int64_t p = 0; p < kc; ++p) {
+        const float *bp = b + p * ldb;
+        const float a0 = a[0 * lda + p];
+        const float a1 = a[1 * lda + p];
+        const float a2 = a[2 * lda + p];
+        const float a3 = a[3 * lda + p];
+        for (int64_t j = 0; j < kNr; ++j) {
+            const float bv = bp[j];
+            acc[0][j] += a0 * bv;
+            acc[1][j] += a1 * bv;
+            acc[2][j] += a2 * bv;
+            acc[3][j] += a3 * bv;
+        }
+    }
+    for (int64_t i = 0; i < kMr; ++i) {
+        for (int64_t j = 0; j < kNr; ++j)
+            c[i * ldc + j] = acc[i][j];
+    }
+}
+
+inline void
+microEdge(int64_t mr, int64_t nr, int64_t kc, const float *a, int64_t lda,
+          const float *b, int64_t ldb, float *c, int64_t ldc, bool first)
+{
+    float acc[kMr][kNr];
+    for (int64_t i = 0; i < mr; ++i) {
+        for (int64_t j = 0; j < nr; ++j)
+            acc[i][j] = first ? 0.0f : c[i * ldc + j];
+    }
+    for (int64_t p = 0; p < kc; ++p) {
+        const float *bp = b + p * ldb;
+        for (int64_t i = 0; i < mr; ++i) {
+            const float av = a[i * lda + p];
+            for (int64_t j = 0; j < nr; ++j)
+                acc[i][j] += av * bp[j];
+        }
+    }
+    for (int64_t i = 0; i < mr; ++i) {
+        for (int64_t j = 0; j < nr; ++j)
+            c[i * ldc + j] = acc[i][j];
+    }
+}
+
+/** Serial reference: C (+)= A * B, A and B as stored. */
+void
+gemm(int64_t m, int64_t n, int64_t k, const float *a, int64_t lda,
+     const float *b, int64_t ldb, float *c, int64_t ldc, bool accumulate)
+{
+    if (m == 0 || n == 0)
+        return;
+    if (k == 0) {
+        if (!accumulate) {
+            for (int64_t i = 0; i < m; ++i)
+                std::memset(c + i * ldc, 0,
+                            static_cast<size_t>(n) * sizeof(float));
+        }
+        return;
+    }
+    for (int64_t jc = 0; jc < n; jc += kNc) {
+        const int64_t nc = std::min(kNc, n - jc);
+        for (int64_t pc = 0; pc < k; pc += kKc) {
+            const int64_t kc = std::min(kKc, k - pc);
+            const bool first = (pc == 0) && !accumulate;
+            for (int64_t i = 0; i < m; i += kMr) {
+                const int64_t mr = std::min(kMr, m - i);
+                const float *ap = a + i * lda + pc;
+                for (int64_t j = jc; j < jc + nc; j += kNr) {
+                    const int64_t nr = std::min(kNr, jc + nc - j);
+                    const float *bp = b + pc * ldb + j;
+                    float *cp = c + i * ldc + j;
+                    if (mr == kMr && nr == kNr) {
+                        micro4x16(kc, ap, lda, bp, ldb, cp, ldc, first);
+                    } else {
+                        microEdge(mr, nr, kc, ap, lda, bp, ldb, cp, ldc,
+                                  first);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/** Row-major out[c][r] = in[r][c] for an r x c matrix. */
+std::vector<float>
+transposed(const std::vector<float> &in, int64_t rows, int64_t cols)
+{
+    std::vector<float> out(in.size());
     for (int64_t i = 0; i < rows; ++i) {
         for (int64_t j = 0; j < cols; ++j)
-            ASSERT_EQ(at[static_cast<size_t>(j * rows + i)],
-                      a[static_cast<size_t>(i * cols + j)]);
+            out[static_cast<size_t>(j * rows + i)] =
+                in[static_cast<size_t>(i * cols + j)];
     }
-    kernels::transpose(at.data(), cols, rows, back.data());
-    EXPECT_EQ(a, back);
+    return out;
+}
+
+} // namespace ref
+
+/** One differential GEMM case: layout, padding and pool of the run. */
+struct GemmCase
+{
+    int64_t m, n, k;
+    kernels::Trans ta, tb;
+    int64_t pad;          //!< extra elements on every leading dimension
+    ThreadPool *pool;
+};
+
+std::vector<float>
+gaussianVector(Xorshift128Plus &rng, int64_t size)
+{
+    std::vector<float> v(static_cast<size_t>(size));
+    for (auto &x : v)
+        x = static_cast<float>(rng.nextGaussian());
+    return v;
+}
+
+/**
+ * Run one case through kernels::gemm (operands stored as the case's
+ * Trans says, with padded leading dimensions) and through the reference
+ * (packed, materialized transposes), overwrite then accumulate; assert
+ * the two C images are memcmp-equal, padding columns included.
+ */
+void
+expectGemmMatchesReference(const GemmCase &gc, uint64_t seed)
+{
+    using kernels::Trans;
+    const int64_t m = gc.m, n = gc.n, k = gc.k;
+    const bool ta = gc.ta == Trans::kYes;
+    const bool tb = gc.tb == Trans::kYes;
+    Xorshift128Plus rng(seed);
+    // Logical operands, packed row-major: A is m x k, B is k x n.
+    const std::vector<float> a = gaussianVector(rng, m * k);
+    const std::vector<float> b = gaussianVector(rng, k * n);
+    const std::vector<float> c0 = gaussianVector(rng, m * n);
+
+    // Stored operands: transposed when asked, every row padded.
+    const std::vector<float> a_st = ta ? ref::transposed(a, m, k) : a;
+    const std::vector<float> b_st = tb ? ref::transposed(b, k, n) : b;
+    const int64_t a_rows = ta ? k : m, a_cols = ta ? m : k;
+    const int64_t b_rows = tb ? n : k, b_cols = tb ? k : n;
+    const int64_t lda = a_cols + gc.pad, ldb = b_cols + gc.pad;
+    const int64_t ldc = n + gc.pad;
+    std::vector<float> a_pad(static_cast<size_t>(a_rows * lda), -7.0f);
+    std::vector<float> b_pad(static_cast<size_t>(b_rows * ldb), -7.0f);
+    for (int64_t i = 0; i < a_rows; ++i)
+        std::copy_n(a_st.begin() + i * a_cols, a_cols,
+                    a_pad.begin() + i * lda);
+    for (int64_t i = 0; i < b_rows; ++i)
+        std::copy_n(b_st.begin() + i * b_cols, b_cols,
+                    b_pad.begin() + i * ldb);
+
+    std::vector<float> c(static_cast<size_t>(m * ldc), 3.0f);
+    for (int64_t i = 0; i < m; ++i)
+        std::copy_n(c0.begin() + i * n, n, c.begin() + i * ldc);
+    std::vector<float> expect = c;
+
+    for (bool accumulate : {false, true}) {
+        kernels::gemm(gc.ta, gc.tb, m, n, k, a_pad.data(), lda,
+                      b_pad.data(), ldb, c.data(), ldc, accumulate,
+                      gc.pool);
+        ref::gemm(m, n, k, a.data(), k, b.data(), n, expect.data(), ldc,
+                  accumulate);
+        ASSERT_EQ(0, std::memcmp(c.data(), expect.data(),
+                                 c.size() * sizeof(float)))
+            << "m=" << m << " n=" << n << " k=" << k << " ta=" << ta
+            << " tb=" << tb << " pad=" << gc.pad << " threads="
+            << (gc.pool ? gc.pool->numThreads() : 0)
+            << " accumulate=" << accumulate;
+    }
+}
+
+/** Extents crossing the 4x16 tile, the kKc = 256 slab and kNc = 512. */
+const std::vector<int64_t> kDiffExtents = {1,  3,   4,   5,   15,  16,
+                                           17, 27,  144, 257, 513, 1152};
+
+TEST(GemmDifferential, ShapeGridMatchesReferenceBitwise)
+{
+    // Every (m, n, k) over the extents up to 2^20 MACs (1463 shapes;
+    // the largest extents pair with small ones). Each shape runs one
+    // layout drawn at random: either transpose, padded or packed
+    // leading dimensions, serial or a 1- or 4-thread pool.
+    ThreadPool pool1(1);
+    ThreadPool pool4(4);
+    ThreadPool *pools[] = {nullptr, &pool1, &pool4};
+    Xorshift128Plus pick(41);
+    uint64_t seed = 1;
+    for (int64_t m : kDiffExtents) {
+        for (int64_t n : kDiffExtents) {
+            for (int64_t k : kDiffExtents) {
+                if (m * n * k > (int64_t{1} << 20))
+                    continue;
+                const uint64_t r = pick.next();
+                const GemmCase gc{
+                    m, n, k,
+                    (r & 1) ? kernels::Trans::kYes : kernels::Trans::kNo,
+                    (r & 2) ? kernels::Trans::kYes : kernels::Trans::kNo,
+                    (r & 4) ? 3 : 0, pools[(r >> 3) % 3]};
+                expectGemmMatchesReference(gc, seed++);
+                if (HasFatalFailure())
+                    return;
+            }
+        }
+    }
+}
+
+TEST(GemmDifferential, EveryLayoutAndPoolMatchesReferenceBitwise)
+{
+    // Full cross product of transposes x padding x pool on shapes that
+    // cross the k-slab, the n-block and both tile edges.
+    ThreadPool pool1(1);
+    ThreadPool pool4(4);
+    using kernels::Trans;
+    uint64_t seed = 1000;
+    for (const auto &[m, n, k] :
+         {std::make_tuple(5, 513, 257), std::make_tuple(257, 17, 27),
+          std::make_tuple(17, 16, 1152), std::make_tuple(144, 27, 15)}) {
+        for (Trans ta : {Trans::kNo, Trans::kYes}) {
+            for (Trans tb : {Trans::kNo, Trans::kYes}) {
+                for (int64_t pad : {0, 5}) {
+                    for (ThreadPool *pool :
+                         {static_cast<ThreadPool *>(nullptr), &pool1,
+                          &pool4}) {
+                        expectGemmMatchesReference(
+                            {m, n, k, ta, tb, pad, pool}, seed++);
+                        if (HasFatalFailure())
+                            return;
+                    }
+                }
+            }
+        }
+    }
 }
 
 // --------------------------------------------------------- thread pool
@@ -199,6 +445,29 @@ TEST(ThreadPool, ConcurrentSubmittersDegradeToSerial)
     t1.join();
     t2.join();
     EXPECT_EQ(sum.load(), 2 * 20 * 1000);
+}
+
+TEST(ThreadPool, ForEachCoversRangeExactlyOnce)
+{
+    // One-item claims: every index runs once, on any pool, and a
+    // nested call from inside a task runs inline.
+    for (int threads : {1, 4}) {
+        ThreadPool pool(threads);
+        for (int64_t n : {0, 1, 2, 7, 1000}) {
+            std::vector<std::atomic<int>> hits(static_cast<size_t>(n));
+            pool.parallelForEach(0, n, [&](int64_t i) {
+                hits[static_cast<size_t>(i)].fetch_add(1);
+            });
+            for (int64_t i = 0; i < n; ++i)
+                ASSERT_EQ(hits[static_cast<size_t>(i)].load(), 1)
+                    << "threads=" << threads << " n=" << n << " i=" << i;
+        }
+        std::atomic<int64_t> nested{0};
+        pool.parallelForEach(3, 11, [&](int64_t) {
+            pool.parallelForEach(0, 5, [&](int64_t) { ++nested; });
+        });
+        EXPECT_EQ(nested.load(), 8 * 5);
+    }
 }
 
 TEST(ThreadPool, ReusableAcrossJobs)
@@ -408,6 +677,180 @@ TEST(LinearBackendParity, ForwardAndGradientsMatch)
     EXPECT_LT(maxAbsDiff(dx_naive, dx_gemm), 1e-4f);
     EXPECT_LT(maxAbsDiff(naive.weight().grad, gemm.weight().grad), 1e-4f);
     EXPECT_LT(maxAbsDiff(naive.bias().grad, gemm.bias().grad), 1e-4f);
+}
+
+// ------------------------- GEMM backend vs reference-kernel lowering
+
+/** Bitwise tensor equality (memcmp of the element images). */
+bool
+sameBits(const Tensor &a, const Tensor &b)
+{
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(),
+                       static_cast<size_t>(a.numel()) * sizeof(float)) ==
+               0;
+}
+
+TEST(GemmDifferential, ConvLayerMatchesReferenceLowering)
+{
+    // Conv2d on kGemm against the lowering it implements, written out
+    // with the reference kernel and materialized transposes: forward,
+    // dx, and dW / db accumulated onto non-zero gradients in image
+    // order. Two images on four threads take the row-panel path, five
+    // take the batch-parallel one.
+    for (int threads : {1, 4}) {
+        ThreadPool::resetGlobal(threads);
+        for (const ParityCase &pc :
+             {ParityCase{2, 3, 8, 8, 5, 3, 1, 1, true},
+              ParityCase{5, 16, 12, 12, 20, 3, 2, 1, true},
+              ParityCase{2, 30, 9, 9, 7, 3, 1, 1, false}}) {
+            nn::Conv2d conv(ConvPair::makeCfg(pc), "conv");
+            conv.setBackend(KernelBackend::kGemm);
+            Xorshift128Plus rng(53);
+            conv.weight().value.fillGaussian(rng, 0.5f);
+            conv.weight().grad.fillGaussian(rng, 0.1f);
+            if (pc.bias) {
+                conv.bias().value.fillGaussian(rng, 0.5f);
+                conv.bias().grad.fillGaussian(rng, 0.1f);
+            }
+            const Tensor w = conv.weight().value;
+            const Tensor dw0 = conv.weight().grad;
+            const Tensor db0 = conv.bias().grad;
+            Tensor x(Shape{pc.n, pc.c, pc.h, pc.w});
+            x.fillGaussian(rng, 1.0f);
+            const kernels::ConvGeom g = kernels::convGeomFromTensors(
+                x, w.shape(), pc.stride, pc.pad);
+            const int64_t crs = g.colRows(), pq = g.colCols();
+            const int64_t chw = pc.c * pc.h * pc.w;
+
+            const Tensor y = conv.forward(x, true);
+            Tensor dy(y.shape());
+            dy.fillGaussian(rng, 1.0f);
+            const Tensor dx = conv.backward(dy);
+
+            Tensor y_ref(y.shape()), dx_ref(x.shape());
+            Tensor dw_ref = dw0, db_ref = db0;
+            const std::vector<float> w_vec(w.data(), w.data() + w.numel());
+            const std::vector<float> wt = ref::transposed(w_vec, g.k, crs);
+            std::vector<float> col(static_cast<size_t>(crs * pq));
+            std::vector<float> dcol(col.size());
+            std::vector<float> part(static_cast<size_t>(pc.n * g.k * crs));
+            std::vector<float> db_part(static_cast<size_t>(pc.n * g.k));
+            for (int64_t in = 0; in < pc.n; ++in) {
+                kernels::im2col(x.data() + in * chw, g, col.data());
+                float *yn = y_ref.data() + in * g.k * pq;
+                ref::gemm(g.k, pq, crs, w.data(), crs, col.data(), pq, yn,
+                          pq, false);
+                if (pc.bias) {
+                    for (int64_t ok = 0; ok < g.k; ++ok) {
+                        for (int64_t j = 0; j < pq; ++j)
+                            yn[ok * pq + j] += conv.bias().value.at(ok);
+                    }
+                }
+                const float *dyn = dy.data() + in * g.k * pq;
+                const std::vector<float> colt =
+                    ref::transposed(col, crs, pq);
+                ref::gemm(g.k, crs, pq, dyn, pq, colt.data(), crs,
+                          part.data() + in * g.k * crs, crs, false);
+                ref::gemm(crs, pq, g.k, wt.data(), g.k, dyn, pq,
+                          dcol.data(), pq, false);
+                kernels::col2im(dcol.data(), g, dx_ref.data() + in * chw);
+                for (int64_t ok = 0; ok < g.k; ++ok) {
+                    float acc = 0.0f;
+                    for (int64_t j = 0; j < pq; ++j)
+                        acc += dyn[ok * pq + j];
+                    db_part[static_cast<size_t>(in * g.k + ok)] = acc;
+                }
+            }
+            for (int64_t j = 0; j < g.k * crs; ++j) {
+                float acc = dw_ref.at(j);
+                for (int64_t in = 0; in < pc.n; ++in)
+                    acc += part[static_cast<size_t>(in * g.k * crs + j)];
+                dw_ref.at(j) = acc;
+            }
+            if (pc.bias) {
+                for (int64_t ok = 0; ok < g.k; ++ok) {
+                    float acc = db_ref.at(ok);
+                    for (int64_t in = 0; in < pc.n; ++in)
+                        acc += db_part[static_cast<size_t>(in * g.k + ok)];
+                    db_ref.at(ok) = acc;
+                }
+            }
+
+            EXPECT_TRUE(sameBits(y, y_ref)) << "threads=" << threads;
+            EXPECT_TRUE(sameBits(dx, dx_ref)) << "threads=" << threads;
+            EXPECT_TRUE(sameBits(conv.weight().grad, dw_ref))
+                << "threads=" << threads;
+            if (pc.bias) {
+                EXPECT_TRUE(sameBits(conv.bias().grad, db_ref))
+                    << "threads=" << threads;
+            }
+        }
+    }
+    ThreadPool::resetGlobal(0);
+}
+
+TEST(GemmDifferential, LinearLayerMatchesReferenceLowering)
+{
+    // Linear on kGemm against y = x W^T + b, dx = dy W, dW += dy^T x and
+    // db += column sums of dy, with the reference kernel on
+    // materialized transposes. 300 inputs cross the k-slab.
+    for (int threads : {1, 4}) {
+        ThreadPool::resetGlobal(threads);
+        for (const auto &[batch, in_f, out_f] :
+             {std::make_tuple(9, 37, 23), std::make_tuple(16, 300, 20)}) {
+            nn::Linear fc(in_f, out_f, "fc");
+            fc.setBackend(KernelBackend::kGemm);
+            Xorshift128Plus rng(59);
+            fc.weight().value.fillGaussian(rng, 0.5f);
+            fc.weight().grad.fillGaussian(rng, 0.1f);
+            fc.bias().value.fillGaussian(rng, 0.5f);
+            fc.bias().grad.fillGaussian(rng, 0.1f);
+            const Tensor w = fc.weight().value;
+            Tensor dw_ref = fc.weight().grad;
+            Tensor db_ref = fc.bias().grad;
+            Tensor x(Shape{batch, in_f});
+            x.fillGaussian(rng, 1.0f);
+
+            const Tensor y = fc.forward(x, true);
+            Tensor dy(y.shape());
+            dy.fillGaussian(rng, 1.0f);
+            const Tensor dx = fc.backward(dy);
+
+            const std::vector<float> w_vec(w.data(), w.data() + w.numel());
+            const std::vector<float> dy_vec(dy.data(),
+                                            dy.data() + dy.numel());
+            const std::vector<float> wt =
+                ref::transposed(w_vec, out_f, in_f);
+            const std::vector<float> dyt =
+                ref::transposed(dy_vec, batch, out_f);
+            Tensor y_ref(y.shape()), dx_ref(x.shape());
+            ref::gemm(batch, out_f, in_f, x.data(), in_f, wt.data(), out_f,
+                      y_ref.data(), out_f, false);
+            for (int64_t in = 0; in < batch; ++in) {
+                for (int64_t o = 0; o < out_f; ++o)
+                    y_ref.at(in * out_f + o) += fc.bias().value.at(o);
+            }
+            ref::gemm(batch, in_f, out_f, dy.data(), out_f, w.data(), in_f,
+                      dx_ref.data(), in_f, false);
+            ref::gemm(out_f, in_f, batch, dyt.data(), batch, x.data(), in_f,
+                      dw_ref.data(), in_f, true);
+            for (int64_t o = 0; o < out_f; ++o) {
+                float acc = 0.0f;
+                for (int64_t in = 0; in < batch; ++in)
+                    acc += dy.at(in * out_f + o);
+                db_ref.at(o) += acc;
+            }
+
+            EXPECT_TRUE(sameBits(y, y_ref)) << "threads=" << threads;
+            EXPECT_TRUE(sameBits(dx, dx_ref)) << "threads=" << threads;
+            EXPECT_TRUE(sameBits(fc.weight().grad, dw_ref))
+                << "threads=" << threads;
+            EXPECT_TRUE(sameBits(fc.bias().grad, db_ref))
+                << "threads=" << threads;
+        }
+    }
+    ThreadPool::resetGlobal(0);
 }
 
 // ------------------------------------------------------ im2col lowering

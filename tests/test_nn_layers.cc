@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <iterator>
 
 #include "common/rng.h"
 #include "nn/activations.h"
@@ -157,6 +159,48 @@ TEST(ReLU, NegativeZeroAndNanGivePositiveZero)
     const Tensor dx = relu.backward(dy);
     for (int i = 0; i < 5; ++i)
         EXPECT_EQ(dx(0, 0, 0, i), i == 3 ? 1.0f : 0.0f) << i;
+}
+
+TEST(ReLU, VectorBodyAndTailMatchScalarRule)
+{
+    // Lengths around the 8-wide vector body: every element, in the body
+    // or the scalar tail, keeps its exact bits when positive and gives
+    // +0 with a zero mask otherwise (-0, NaN, denormals and infinities
+    // included), and the sparsity counts both parts.
+    const float specials[] = {-0.0f,      0.0f,
+                              std::nanf(""), -std::nanf(""),
+                              1e-45f,     -1e-45f,
+                              INFINITY,   -INFINITY,
+                              0.25f,      -3.0f};
+    Xorshift128Plus rng(61);
+    for (int64_t n = 1; n <= 37; ++n) {
+        Tensor x(Shape{1, 1, 1, n});
+        for (int64_t i = 0; i < n; ++i) {
+            x.at(i) = (i % 3 == 0)
+                          ? specials[rng.nextBounded(std::size(specials))]
+                          : static_cast<float>(rng.nextGaussian());
+        }
+        ReLU relu("r");
+        const Tensor y = relu.forward(x, true);
+        Tensor dy(x.shape());
+        dy.fill(1.0f);
+        const Tensor mask = relu.backward(dy);
+        int64_t zeros = 0;
+        for (int64_t i = 0; i < n; ++i) {
+            const float v = x.at(i);
+            const float got = y.at(i);
+            const float want = v > 0.0f ? v : 0.0f;
+            EXPECT_EQ(0, std::memcmp(&got, &want, sizeof(float)))
+                << "n=" << n << " i=" << i;
+            EXPECT_EQ(mask.at(i), v > 0.0f ? 1.0f : 0.0f)
+                << "n=" << n << " i=" << i;
+            zeros += v > 0.0f ? 0 : 1;
+        }
+        EXPECT_DOUBLE_EQ(relu.lastOutputSparsity(),
+                         static_cast<double>(zeros) /
+                             static_cast<double>(n))
+            << "n=" << n;
+    }
 }
 
 TEST(ReLU, BackwardMasksGradient)
